@@ -15,11 +15,18 @@ inversion, constant, and shuffle axioms then hold by construction:
 The canonical model sends each generator to the exponential of its own
 letter, so a length-n power of the matching form integrates to 1/n! and any
 word containing a foreign form integrates to 0.
+
+``evaluate`` never builds the path's whole series.  It runs Chen's identity
+letter by letter on the coefficients omega needs: the prefixes of omega's
+words, read against the generator series on their infixes.  Inverse letters
+use the antipode of the shuffle Hopf algebra, <G^-1, v> = (-1)^|v|
+<G, reversed v>, valid because model series are group-like.
+``path_series`` keeps the full product as an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ncalg import (
@@ -33,6 +40,7 @@ from .ncalg import (
     scalar_add,
     scalar_div,
     scalar_mul,
+    scalar_neg,
     shuffle_words,
     var,
 )
@@ -59,12 +67,10 @@ def _truncated(p: NcPoly, n: int) -> NcPoly:
 @dataclass(frozen=True)
 class TruncSeries:
     """An NcPoly with all terms of degree <= degree; higher terms are
-    silently dropped by every operation.  ``notes`` carries operation
-    metadata (currently only mixed-truncation warnings)."""
+    silently dropped by every operation."""
 
     degree: int
     poly: NcPoly
-    notes: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self):
         if self.degree < 0:
@@ -91,26 +97,26 @@ class TruncSeries:
 
 
 def ts_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Concatenation product, truncated to the smaller degree."""
+    """Concatenation product, truncated to the smaller degree.  The right
+    factor's terms are grouped by degree, so no pair of words whose lengths
+    add up to more than the truncation degree is visited."""
     n = min(a.degree, b.degree)
-    notes = a.notes + b.notes
-    if a.degree != b.degree:
-        notes = notes + (f"mixed truncation degrees {a.degree}, {b.degree}",)
     a.poly._check_alphabet(b.poly)
+    by_degree: list = [[] for _ in range(n + 1)]
+    for wb, cb in b.poly.terms.items():
+        if len(wb) <= n:
+            by_degree[len(wb)].append((wb, cb))
     out: dict = {}
     for wa, ca in a.poly.terms.items():
-        if len(wa) > n:
-            continue
-        for wb, cb in b.poly.terms.items():
-            if len(wa) + len(wb) > n:
-                continue
-            w = wa + wb
-            s = scalar_add(out.get(w, Fraction(0)), scalar_mul(ca, cb))
-            if is_zero_scalar(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return TruncSeries(n, NcPoly(a.poly.alphabet, out), notes)
+        for d in range(n + 1 - len(wa)):
+            for wb, cb in by_degree[d]:
+                w = wa + wb
+                s = scalar_add(out.get(w, Fraction(0)), scalar_mul(ca, cb))
+                if is_zero_scalar(s):
+                    out.pop(w, None)
+                else:
+                    out[w] = s
+    return TruncSeries(n, NcPoly(a.poly.alphabet, out))
 
 
 def _as_poly_and_degree(p, degree):
@@ -230,7 +236,8 @@ def canonical_model(alphabet: Alphabet, degree: int) -> IntegralModel:
 
 def path_series(model: IntegralModel, delta) -> TruncSeries:
     """The truncated series attached to a free-group word: the ordered
-    product of generator series and their inverses."""
+    product of generator series and their inverses (inverted by the
+    geometric series, not the antipode)."""
     if delta.alphabet != model.paths:
         raise ValueError("path word alphabet does not match the model")
     out = TruncSeries.one(model.forms, model.degree)
@@ -248,14 +255,66 @@ def path_series(model: IntegralModel, delta) -> TruncSeries:
 
 def evaluate(model: IntegralModel, delta, omega: NcPoly) -> Scalar:
     """The iterated integral of omega along delta: the pairing of the
-    path's series against omega.  Linear in omega."""
+    path's series S against omega.  Linear in omega.
+
+    Only the coefficients the answer needs are computed.  The state holds
+    <S, u> for u in the prefix closure of omega's words (the empty word
+    included), starting from the trivial path.  Each path letter with
+    series G updates it by Chen's identity,
+    <S G, w> = sum over w = u v of <S, u> <G, v>,
+    which reads G on the infixes v of omega's words only.  An inverse
+    letter reads the antipode, <G^-1, v> = (-1)^|v| <G, reversed v>; that
+    holds because every generator series of a model is group-like.  A word
+    of length k costs O(k^2) scalar operations per path letter.
+    """
     if omega.alphabet != model.forms:
         raise ValueError("form polynomial alphabet does not match the model")
     if omega.max_degree() > model.degree:
         raise ValueError(
             f"word degree {omega.max_degree()} exceeds truncation {model.degree}"
         )
-    return inner(path_series(model, delta).poly, omega)
+    if delta.alphabet != model.paths:
+        raise ValueError("path word alphabet does not match the model")
+    slots = {(): 0}
+    for w in omega.terms:
+        for j in range(1, len(w) + 1):
+            slots.setdefault(w[:j], len(slots))
+    state: list = [Fraction(1)] + [Fraction(0)] * (len(slots) - 1)
+    steps: dict = {}
+    for letter in delta.entries:
+        step = steps.get(letter)
+        if step is None:
+            step = steps[letter] = _chen_step(model.series[letter[0]], letter[1], slots)
+        state = [_dot(pairs, state) for pairs in step]
+    return _dot([(slots[w], c) for w, c in omega.terms.items()], state)
+
+
+def _chen_step(g: TruncSeries, sign: int, slots: dict) -> list:
+    """Per slot word w, the (slot of u, <G^sign, v>) pairs over the splits
+    w = u v with a nonzero coefficient."""
+    terms = g.poly.terms
+    step = []
+    for w in slots:
+        pairs = []
+        for j in range(len(w) + 1):
+            v = w[j:]
+            if sign == 1:
+                c = terms.get(v)
+            else:  # the antipode
+                c = terms.get(v[::-1])
+                if c is not None and len(v) % 2:
+                    c = scalar_neg(c)
+            if c is not None:
+                pairs.append((slots[w[:j]], c))
+        step.append(pairs)
+    return step
+
+
+def _dot(pairs, state: list) -> Scalar:
+    total: Scalar = Fraction(0)
+    for i, c in pairs:
+        total = scalar_add(total, scalar_mul(state[i], c))
+    return total
 
 
 @dataclass(frozen=True)

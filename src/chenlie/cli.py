@@ -82,8 +82,15 @@ def _weights(args) -> WeightPair:
         parts = _csv(args.weights)
         if len(parts) != 2:
             raise ValueError("--weights takes two comma-separated rationals")
-        return WeightPair(Fraction(parts[0]), Fraction(parts[1]))
+        return WeightPair(*(_weight(p) for p in parts))
     return WeightPair.symbolic()
+
+
+def _weight(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"--weights: zero denominator in {text!r}") from None
 
 
 def _load_json(path: str) -> dict:
@@ -94,30 +101,51 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _field(doc: dict, path: str, key: str):
+    if key not in doc:
+        raise ValueError(f"{path}: missing field {key!r}")
+    return doc[key]
+
+
+def _list(doc: dict, path: str, key: str) -> list:
+    value = _field(doc, path, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: field {key!r} must be a JSON list")
+    return value
+
+
+def _letters(doc: dict, path: str, key: str) -> Alphabet:
+    names = _list(doc, path, key)
+    if not all(isinstance(n, str) for n in names):
+        raise ValueError(f"{path}: field {key!r} must be a list of strings")
+    return Alphabet(tuple(names))
+
+
+def _rows(doc: dict, path: str, key: str) -> tuple:
+    rows = _list(doc, path, key)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{path}: field {key!r} must be a list of lists")
+    return tuple(tuple(parse_scalar(str(e)) for e in row) for row in rows)
+
+
 def load_connection(path: str) -> Connection:
     """{alphabet, delta_poly, matrix} or {alphabet, weights}."""
     doc = _load_json(path)
-    forms = Alphabet(tuple(doc["alphabet"]))
+    forms = _letters(doc, path, "alphabet")
     if "weights" in doc:
         return Connection.diagonal(
-            tuple(parse_scalar(str(w)) for w in doc["weights"]), forms
+            tuple(parse_scalar(str(w)) for w in _list(doc, path, "weights")), forms
         )
-    delta_poly = parse_scalar(str(doc["delta_poly"]))
-    matrix = tuple(
-        tuple(parse_scalar(str(e)) for e in row) for row in doc["matrix"]
-    )
-    return Connection(forms, delta_poly, matrix)
+    delta_poly = parse_scalar(str(_field(doc, path, "delta_poly")))
+    return Connection(forms, delta_poly, _rows(doc, path, "matrix"))
 
 
 def load_table(path: str) -> PairingTable:
     """{alphabet, forms, table}: base integrals, one row per generator."""
     doc = _load_json(path)
-    paths = Alphabet(tuple(doc["alphabet"]))
-    forms = Alphabet(tuple(doc["forms"]))
-    entries = tuple(
-        tuple(parse_scalar(str(e)) for e in row) for row in doc["table"]
-    )
-    return PairingTable(paths, forms, entries)
+    paths = _letters(doc, path, "alphabet")
+    forms = _letters(doc, path, "forms")
+    return PairingTable(paths, forms, _rows(doc, path, "table"))
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ def magnus(delta: GroupWord, n: int) -> TruncSeries:
     return out
 
 
+def _leading_degree(series: TruncSeries):
+    """Lowest degree >= 1 with a nonzero part; None when there is none."""
+    return min((len(w) for w in series.poly.terms if w), default=None)
+
+
 def lcs_degree(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
     """Smallest k <= n_max with a nonzero degree-k part in the Magnus
     expansion; None when every part up to n_max vanishes (in particular for
@@ -140,21 +145,20 @@ def lcs_degree(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
         raise ValueError("n_max must be >= 1")
     if delta.is_identity():
         return None
-    series = magnus(delta, n_max)
-    for k in range(1, n_max + 1):
-        if not homogeneous_part(series.poly, k).is_zero():
-            return k
-    return None
+    return _leading_degree(magnus(delta, n_max))
 
 
 def phi_inverse(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND) -> NcPoly:
     """The leading homogeneous part of the Magnus expansion: the Lie
-    element representing delta's class in gr^k of the free group."""
+    element representing delta's class in gr^k of the free group.  One
+    Magnus series to degree n_max gives both k and the part, since
+    truncation above k leaves the degree-k part unchanged."""
     if delta.is_identity():
         raise ValueError("the identity word has no leading Lie element")
-    k = lcs_degree(delta, n_max)
+    series = magnus(delta, n_max)
+    k = _leading_degree(series)
     if k is None:
         raise ValueError(
             f"no nonzero homogeneous part up to degree {n_max}; raise n_max"
         )
-    return homogeneous_part(magnus(delta, k).poly, k)
+    return homogeneous_part(series.poly, k)

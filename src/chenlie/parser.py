@@ -28,6 +28,7 @@ from .liealg import LieTree
 from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
 
 __all__ = [
+    "MAX_NESTING",
     "ParseError",
     "parse",
     "parse_poly",
@@ -40,6 +41,14 @@ __all__ = [
     "build_lietree",
     "infer_alphabet",
 ]
+
+
+# Deepest nesting the parser accepts.  Each parenthesis or bracket is one
+# level, and so is each further "#" or "/" of a chain, since those build
+# left-nested trees.  The parser takes five stack frames per parenthesis
+# and build_poly, build_gw and build_lietree at most three per level, so
+# accepted input stays well inside Python's default recursion limit (1000).
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -185,6 +194,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -202,6 +212,12 @@ class _Parser:
 
     def fail(self, message: str):
         raise ParseError(message, self.cur.line, self.cur.col)
+
+    def nest(self):
+        """Enter one nesting level at the current token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels")
 
     # -- polynomial grammar -------------------------------------------------
     #
@@ -226,26 +242,32 @@ class _Parser:
         return PSum(tuple(terms))
 
     def parse_shuffle(self):
+        depth = self.depth
         node = self.parse_product()
         while self.cur.kind == "#":
+            self.nest()
             self.advance()
             node = PShuffle(node, self.parse_product())
+        self.depth = depth
         return node
 
     _ATOM_STARTS = ("int", "ident", "(", "[")
 
     def parse_product(self):
+        depth = self.depth
         node = self.parse_postfix()
         while True:
             if self.cur.kind == "*":
                 self.advance()
                 node = self._mul(node, self.parse_postfix())
             elif self.cur.kind == "/":
+                self.nest()
                 self.advance()
                 node = PDiv(node, self.parse_postfix())
             elif self.cur.kind in self._ATOM_STARTS:
                 node = self._mul(node, self.parse_postfix())
             else:
+                self.depth = depth
                 return node
 
     @staticmethod
@@ -271,16 +293,20 @@ class _Parser:
             self.advance()
             return PIdent(tok.text)
         if tok.kind == "(":
+            self.nest()
             self.advance()
             node = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.kind == "[":
+            self.nest()
             self.advance()
             left = self.parse_sum()
             self.expect(",")
             right = self.parse_sum()
             self.expect("]")
+            self.depth -= 1
             return PBracket(left, right)
         self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
 
@@ -321,14 +347,17 @@ class _Parser:
             self.advance()
             return GOne()
         if tok.kind == "(":
+            self.nest()
             self.advance()
             left = self.parse_gw_expr()
             if self.cur.kind == ",":
                 self.advance()
                 right = self.parse_gw_expr()
                 self.expect(")")
+                self.depth -= 1
                 return GComm(left, right)
             self.expect(")")
+            self.depth -= 1
             return left
         self.fail(f"expected a group word, found {tok.text or 'end of input'!r}")
 

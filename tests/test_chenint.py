@@ -3,6 +3,7 @@ integral models with the axiom suite, and the graded pairing."""
 
 from fractions import Fraction
 from math import factorial
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +36,13 @@ from chenlie.ncalg import (
     var,
 )
 
-from conftest import XY, random_groupword, random_lie_poly, tree_to_gw
+from conftest import (
+    XY,
+    random_groupword,
+    random_homogeneous,
+    random_lie_poly,
+    tree_to_gw,
+)
 
 X = NcPoly.letter(XY, 0)
 Y = NcPoly.letter(XY, 1)
@@ -55,9 +62,6 @@ def test_ts_mul_truncates_to_min_degree():
     b = TruncSeries(2, NcPoly.one(XY) + Y)
     p = ts_mul(a, b)
     assert p.degree == 2
-    assert p.notes == ("mixed truncation degrees 3, 2",)
-    same = ts_mul(a, TruncSeries(3, NcPoly.one(XY)))
-    assert same.notes == ()
 
 
 def test_ts_exp_golden():
@@ -150,6 +154,81 @@ def test_path_series_caches_inverses():
     a = GroupWord.generator(XY, 0)
     s = path_series(m, gw_mul(a, gw_inv(a)))
     assert s.poly == NcPoly.one(XY)
+
+
+# ------------------------------------- Chen-identity evaluation vs oracle
+
+def _symbolic_grouplike_model(degree=3):
+    """Generator i |-> exp(a_i x + b_i y + c_i [x,y]) with indeterminate
+    coefficients: a group-like model over MPoly scalars."""
+    xy = concat_mul(X, Y) - concat_mul(Y, X)
+    series = tuple(
+        ts_exp(TruncSeries(degree, X.scale(var(f"a{i}")) + Y.scale(var(f"b{i}"))
+                           + xy.scale(var(f"c{i}"))))
+        for i in range(2))
+    return IntegralModel(XY, XY, degree, series)
+
+
+@pytest.fixture(scope="module")
+def oracle_models():
+    return {"canonical": canonical_model(XY, 4),
+            "random": _random_grouplike_model(random.Random(4242)),
+            "symbolic": _symbolic_grouplike_model()}
+
+
+ORACLE_LOOPS = {
+    "inverse letters": ((0, 1), (1, -1), (0, -1), (1, 1), (1, 1), (0, -1)),
+    "repeated letters": ((0, 1), (0, 1), (1, 1), (1, 1), (1, 1), (0, 1)),
+    "identity": (),
+}
+
+
+@pytest.mark.parametrize("model_name", ["canonical", "random", "symbolic"])
+@pytest.mark.parametrize("loop_name", sorted(ORACLE_LOOPS))
+def test_evaluate_matches_path_series_oracle(oracle_models, model_name, loop_name):
+    """The infix program agrees exactly with pairing the full path series."""
+    rng = random.Random(f"{model_name}-{loop_name}")
+    m = oracle_models[model_name]
+    delta = GroupWord(XY, ORACLE_LOOPS[loop_name])
+    full = path_series(m, delta).poly
+    mixed = NcPoly(XY, {(): 3, (0,): Fraction(-1, 2), (0, 1): 2, (1, 0, 0): var("s")})
+    dense = NcPoly(XY, {w: rng.randint(-3, 3) for k in range(m.degree + 1)
+                        for w in XY.words(k)})
+    low = NcPoly(XY, {w: Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                      for w in XY.words(m.degree - 1)})
+    single = NcPoly.from_word(XY, (1, 0, 1))
+    for omega in (mixed, dense, low, single, NcPoly.zero(XY)):
+        assert evaluate(m, delta, omega) == inner(full, omega)
+
+
+def test_bucketed_ts_mul_matches_truncated_concat_mul(rng):
+    for da, db in ((4, 2), (2, 4), (3, 3), (0, 3)):
+        pa = NcPoly.one(XY) + sum((random_homogeneous(rng, XY, k) for k in range(1, 5)),
+                                  NcPoly.zero(XY))
+        pb = NcPoly.one(XY) + sum((random_homogeneous(rng, XY, k) for k in range(1, 5)),
+                                  NcPoly.zero(XY))
+        a, b = TruncSeries(da, pa), TruncSeries(db, pb)
+        n = min(da, db)
+        want = NcPoly(XY, {w: c for w, c in concat_mul(a.poly, b.poly).items()
+                           if len(w) <= n})
+        got = ts_mul(a, b)
+        assert got.degree == n and got.poly == want
+
+
+def test_evaluate_builds_no_series(monkeypatch):
+    """evaluate never calls the full-series products it replaces."""
+    from chenlie import chenint
+    m = _random_grouplike_model(random.Random(7))
+    delta = GroupWord(XY, ORACLE_LOOPS["inverse letters"])
+    omega = NcPoly(XY, {(0, 1): 2, (1, 1, 0): 1, (): 1})
+    want = inner(path_series(m, delta).poly, omega)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("full series built")
+
+    for name in ("ts_mul", "ts_inv", "path_series"):
+        monkeypatch.setattr(chenint, name, boom)
+    assert evaluate(m, delta, omega) == want
 
 
 # --------------------------------------------------------------- axioms

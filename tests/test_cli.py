@@ -164,6 +164,20 @@ def test_bad_weights_exit_code(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_deep_nesting_is_a_one_line_error(capsys):
+    for text in ("(" * 400 + "x" + ")" * 400, "[x," * 699 + "y" + "]" * 699):
+        code, out, err = invoke(capsys, "expand", text)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "nesting" in err
+
+
+def test_zero_weight_denominator_is_named(capsys):
+    code, _, err = invoke(capsys, "ck", "-k", "3", "--weights", "1/0,2")
+    assert code == 1
+    assert err == "error: --weights: zero denominator in '1/0'\n"
+
+
 # ------------------------------------------------------------------- stdin
 
 def test_stdin_dash(capsys, monkeypatch):
@@ -202,6 +216,33 @@ def test_integrand_with_connection_file(capsys, tmp_path):
     out2 = ok(capsys, "integrand", "-k", "2", "--conn", str(path2),
               "--omega", "om1 + om2")
     assert out2 == out
+
+
+@pytest.mark.parametrize("field", ["alphabet", "forms"])
+def test_table_letters_must_be_a_list_of_strings(capsys, tmp_path, field):
+    table = {"alphabet": ["a", "b"], "forms": ["f1", "f2"],
+             "table": [["1", "2"], ["3", "4"]]}
+    for bad in ("ab", ["a", 2]):
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({**table, field: bad}))
+        code, out, err = invoke(capsys, "eval", "--model", str(path),
+                                "(a,b)", "f1 f2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and repr(field) in err
+
+
+def test_connection_fields_are_validated(capsys, tmp_path):
+    base = {"alphabet": ["om1", "om2"], "delta_poly": "t",
+            "matrix": [["1", "0"], ["0", "2"]]}
+    path = tmp_path / "conn.json"
+    for missing in ("delta_poly", "matrix"):
+        path.write_text(json.dumps({k: v for k, v in base.items() if k != missing}))
+        code, _, err = invoke(capsys, "integrand", "-k", "2", "--conn", str(path))
+        assert code == 1
+        assert err.startswith("error:") and f"missing field {missing!r}" in err
+    path.write_text(json.dumps({**base, "alphabet": "ab"}))
+    code, _, err = invoke(capsys, "integrand", "-k", "2", "--conn", str(path))
+    assert code == 1 and "'alphabet' must be a JSON list" in err
 
 
 def test_missing_file_is_reported(capsys):

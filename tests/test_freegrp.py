@@ -160,6 +160,20 @@ def test_phi_inverse_lands_in_lie_algebra(r):
         assert is_lie(phi_inverse(delta))
 
 
+def test_phi_inverse_builds_one_magnus_series(monkeypatch):
+    from chenlie import freegrp
+    calls = []
+
+    def counting(delta, n):
+        calls.append(n)
+        return magnus(delta, n)
+
+    monkeypatch.setattr(freegrp, "magnus", counting)
+    delta = commutator(commutator(A, B), B)
+    assert phi_inverse(delta) == expand(parse_lie("[[x,y],y]"), XY)
+    assert len(calls) == 1
+
+
 def test_phi_inverse_is_leading_magnus_term():
     delta = commutator(commutator(A, B), B)
     k = lcs_degree(delta)

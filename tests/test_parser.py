@@ -2,6 +2,7 @@
 round trips across every scalar and polynomial form the library emits."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,15 @@ from chenlie.ncalg import (
     shuffle,
     var,
 )
-from chenlie.parser import ParseError, parse_gw, parse_lie, parse_poly, parse_scalar
+from chenlie.parser import (
+    MAX_NESTING,
+    ParseError,
+    parse,
+    parse_gw,
+    parse_lie,
+    parse_poly,
+    parse_scalar,
+)
 
 from conftest import XY, random_groupword
 
@@ -128,6 +137,39 @@ def test_error_locations(text, line, col):
     assert exc.value.line == line
     assert exc.value.col == col
     assert f"line {line}, column {col}" in str(exc.value)
+
+
+def _nested(n, wrap, core="x"):
+    for _ in range(n):
+        core = wrap(core)
+    return core
+
+
+def test_nesting_limit_is_a_located_error():
+    n = MAX_NESTING + 1
+    too_deep = [
+        ("poly", _nested(n, lambda e: f"({e})"), n),
+        ("poly", _nested(n, lambda e: f"[x,{e}]"), 3 * n - 2),
+        ("poly", " # ".join(["x"] * (n + 1)), 4 * n - 1),
+        ("poly", "x" + "/2" * n, 2 * n),
+        ("gw", _nested(n, lambda e: f"(x,{e})"), 3 * n - 2),
+    ]
+    for kind, text, col in too_deep:
+        with pytest.raises(ParseError) as exc:
+            parse(text, kind)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert "nesting" in str(exc.value)
+
+
+def test_nesting_at_the_limit_parses():
+    n = MAX_NESTING
+    assert parse_poly(_nested(n, lambda e: f"({e})^1"), alphabet=XY) == X
+    bracket = parse_poly(_nested(n, lambda e: f"[x,{e}]", "y"), alphabet=XY)
+    assert len(bracket.terms) == n + 1
+    assert parse_poly(" # ".join(["x"] * n), alphabet=XY).coeff((0,) * n) \
+        == factorial(n)
+    assert parse_gw(_nested(n, lambda e: f"({e})^-1"), alphabet=XY) == \
+        GroupWord.generator(XY, 0)
 
 
 def test_trailing_input_rejected():
