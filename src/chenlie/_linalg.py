@@ -1,34 +1,28 @@
 """Exact linear algebra helpers: Fraction elimination and GF(p) ranks.
 
-The mod-p rank (p = 2^31 - 1, so products of reduced entries fit in int64)
-is an exact lower bound on the rank over Q: any nonzero minor mod p is a
-nonzero minor over Q.  Callers combine it with an upper bound (spanning-set
-size, or orthogonal-complement dimension) to certify exact dimensions
-without big-rational elimination on large matrices.
+The mod-p rank (p = 2^31 - 1) is an exact lower bound on the rank over Q:
+any nonzero minor mod p is a nonzero minor over Q.  Callers combine it with
+an upper bound (spanning-set size, or orthogonal-complement dimension) to
+certify exact dimensions without big-rational elimination on large
+matrices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 MERSENNE31 = 2**31 - 1
 
 
-def frac_rank(rows) -> int:
-    """Rank over Q by Gaussian elimination on Fraction entries."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _gauss_jordan(mat: list, ncols: int) -> int:
+    """Reduce a list of Fraction rows in place over its first ncols
+    columns; returns the rank.  Pivot rows come first, each scaled to 1 at
+    its pivot, which is the only nonzero entry of its column."""
     rank = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                pivot = r
-                break
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
@@ -39,65 +33,53 @@ def frac_rank(rows) -> int:
                 f = mat[r][col]
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         rank += 1
-        if rank == len(mat):
-            break
     return rank
+
+
+def frac_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fraction entries."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    return _gauss_jordan(mat, len(mat[0]) if mat else 0)
 
 
 def frac_solve(a, b):
     """Solve the square system a x = b exactly; raises on singular a."""
     n = len(a)
     mat = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("singular system")
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = Fraction(1) / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [u - f * v for u, v in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
+    if _gauss_jordan(mat, n) < n:
+        raise ValueError("singular system")
+    return [row[n] for row in mat]
 
 
 def modp_rank(rows, p: int = MERSENNE31) -> int:
     """Rank over GF(p).  Rows are integers or Fractions with p-unit
-    denominators (always the case for denominators far below p)."""
-    reduced = []
+    denominators (always the case for denominators far below p).
+
+    Sparse echelon form: each row becomes a dict column -> nonzero residue
+    and is reduced at its lowest column against the pivot row kept for that
+    column, until it is zero or starts at a new pivot column."""
+    pivots: dict = {}  # lowest column -> row scaled to 1 there
     for row in rows:
-        out = []
-        for x in row:
+        vec = {}
+        for j, x in enumerate(row):
             if isinstance(x, Fraction):
-                out.append(x.numerator * pow(x.denominator, -1, p) % p)
+                r = x.numerator * pow(x.denominator, -1, p) % p
             else:
-                out.append(int(x) % p)
-        reduced.append(out)
-    if not reduced:
-        return 0
-    mat = np.array(reduced, dtype=np.int64)
-    nrows, ncols = mat.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(mat[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        r = rank + int(nz[0])
-        if r != rank:
-            mat[[rank, r]] = mat[[r, rank]]
-        inv = pow(int(mat[rank, col]), p - 2, p)
-        mat[rank] = mat[rank] * inv % p
-        below = mat[rank + 1:, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            factors = below[hit][:, None]
-            mat[rank + 1 + hit] = (mat[rank + 1 + hit] - factors * mat[rank]) % p
-        rank += 1
-    return rank
+                r = int(x) % p
+            if r:
+                vec[j] = r
+        while vec:
+            col = min(vec)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = {j: r * inv % p for j, r in vec.items()}
+                break
+            f = vec[col]
+            for j, r in pivot.items():
+                r = (vec.get(j, 0) - f * r) % p
+                if r:
+                    vec[j] = r
+                else:
+                    vec.pop(j, None)
+    return len(pivots)

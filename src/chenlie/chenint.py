@@ -28,20 +28,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .ncalg import (
     Alphabet,
     NcPoly,
     Scalar,
     Word,
+    collect,
     homogeneous_part,
-    inner,
     is_zero_scalar,
     scalar_add,
-    scalar_div,
     scalar_mul,
     scalar_neg,
-    shuffle_words,
+    shuffle_inner,
     var,
 )
 
@@ -106,17 +106,13 @@ def ts_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     for wb, cb in b.poly.terms.items():
         if len(wb) <= n:
             by_degree[len(wb)].append((wb, cb))
-    out: dict = {}
-    for wa, ca in a.poly.terms.items():
-        for d in range(n + 1 - len(wa)):
-            for wb, cb in by_degree[d]:
-                w = wa + wb
-                s = scalar_add(out.get(w, Fraction(0)), scalar_mul(ca, cb))
-                if is_zero_scalar(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-    return TruncSeries(n, NcPoly(a.poly.alphabet, out))
+    pairs = (
+        (wa + wb, scalar_mul(ca, cb))
+        for wa, ca in a.poly.terms.items()
+        for d in range(n + 1 - len(wa))
+        for wb, cb in by_degree[d]
+    )
+    return TruncSeries(n, collect(a.poly.alphabet, pairs))
 
 
 def _as_poly_and_degree(p, degree):
@@ -127,22 +123,27 @@ def _as_poly_and_degree(p, degree):
     return p, degree
 
 
+def _power_series(u: NcPoly, n: int, coeffs: list) -> TruncSeries:
+    """sum over i of coeffs[i] u^i, truncated at degree n, for u with zero
+    constant term and coeffs of length n + 1.  Stops at the first power
+    of u that vanishes; every later one does too."""
+    base = TruncSeries(n, u)
+    power = TruncSeries.one(u.alphabet, n)
+    out = power.poly.scale(coeffs[0])
+    for c in coeffs[1:]:
+        power = ts_mul(power, base)
+        if power.poly.is_zero():
+            break
+        out = out + power.poly.scale(c)
+    return TruncSeries(n, out)
+
+
 def ts_exp(p, degree: int = None) -> TruncSeries:
     """exp of a series with zero constant term."""
     poly, n = _as_poly_and_degree(p, degree)
     if not is_zero_scalar(poly.coeff(())):
         raise ValueError("ts_exp needs a zero constant term")
-    out = TruncSeries.one(poly.alphabet, n)
-    power = out
-    base = TruncSeries(n, poly)
-    fact = 1
-    for i in range(1, n + 1):
-        power = ts_mul(power, base)
-        if power.poly.is_zero():
-            break
-        fact *= i
-        out = TruncSeries(n, out.poly + power.poly.scale(Fraction(1, fact)))
-    return out
+    return _power_series(poly, n, [Fraction(1, factorial(i)) for i in range(n + 1)])
 
 
 def ts_log(s, degree: int = None) -> TruncSeries:
@@ -150,17 +151,8 @@ def ts_log(s, degree: int = None) -> TruncSeries:
     poly, n = _as_poly_and_degree(s, degree)
     if poly.coeff(()) != 1:
         raise ValueError("ts_log needs constant term 1")
-    u = TruncSeries(n, poly - NcPoly.one(poly.alphabet))
-    out = NcPoly.zero(poly.alphabet)
-    power = TruncSeries.one(poly.alphabet, n)
-    sign = 1
-    for i in range(1, n + 1):
-        power = ts_mul(power, u)
-        if power.poly.is_zero():
-            break
-        out = out + power.poly.scale(Fraction(sign, i))
-        sign = -sign
-    return TruncSeries(n, out)
+    coeffs = [Fraction(0)] + [Fraction((-1) ** (i + 1), i) for i in range(1, n + 1)]
+    return _power_series(poly - NcPoly.one(poly.alphabet), n, coeffs)
 
 
 def ts_inv(s, degree: int = None) -> TruncSeries:
@@ -169,15 +161,7 @@ def ts_inv(s, degree: int = None) -> TruncSeries:
     poly, n = _as_poly_and_degree(s, degree)
     if poly.coeff(()) != 1:
         raise ValueError("ts_inv needs constant term 1")
-    u = TruncSeries(n, NcPoly.one(poly.alphabet) - poly)
-    out = NcPoly.one(poly.alphabet)
-    power = TruncSeries.one(poly.alphabet, n)
-    for _ in range(n):
-        power = ts_mul(power, u)
-        if power.poly.is_zero():
-            break
-        out = out + power.poly
-    return TruncSeries(n, out)
+    return _power_series(NcPoly.one(poly.alphabet) - poly, n, [Fraction(1)] * (n + 1))
 
 
 def is_grouplike(s: TruncSeries) -> bool:
@@ -192,13 +176,7 @@ def is_grouplike(s: TruncSeries) -> bool:
             cu = s.poly.coeff(u)
             for ls in range(1, n - r + 1):
                 for v in alphabet.words(ls):
-                    lhs = scalar_mul(cu, s.poly.coeff(v))
-                    rhs = Fraction(0)
-                    for w, mult in shuffle_words(u, v).items():
-                        c = s.poly.terms.get(w)
-                        if c is not None:
-                            rhs = scalar_add(rhs, scalar_mul(c, mult))
-                    if lhs != rhs:
+                    if scalar_mul(cu, s.poly.coeff(v)) != shuffle_inner(s.poly, u, v):
                         return False
     return True
 

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .chenint import PairingTable, canonical_model, evaluate, pair_graded
 from .freegrp import DEFAULT_LCS_BOUND, lcs_degree, magnus
-from .liealg import decompose, expand, hall_basis, is_lie, witt_number
+from .liealg import decompose, hall_basis, is_lie, witt_number
 from .melnikov import (
     Connection,
     WeightPair,
@@ -412,9 +413,23 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _vectors_last(argv) -> list:
+    """``monodromy reduce -1,0,2,0,0,3``: argparse reads a vector that
+    starts with a minus sign as an unknown option, so move it behind "--",
+    where it can only be the positional argument."""
+    argv = list(argv)
+    for i in range(len(argv) - 1):
+        if argv[i:i + 2] == ["monodromy", "reduce"] and "--" not in argv:
+            rest = argv[i + 2:]
+            vecs = [a for a in rest if re.match(r"-\d", a)]
+            if vecs:
+                return argv[:i + 2] + [a for a in rest if a not in vecs] + ["--"] + vecs
+    return argv
+
+
 def run(argv) -> int:
     ap = build_arg_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_vectors_last(argv))
     try:
         payload, lines = args.fn(args)
     except (ParseError, ValueError, ZeroDivisionError, OSError, KeyError) as e:

@@ -19,14 +19,14 @@ from ._linalg import frac_rank, frac_solve
 from .ncalg import (
     Alphabet,
     NcPoly,
+    collect,
     concat_mul,
     homogeneous_part,
     inner,
     is_zero_scalar,
     scalar_add,
     scalar_mul,
-    scalar_neg,
-    shuffle_words,
+    shuffle_inner,
 )
 
 __all__ = [
@@ -186,16 +186,6 @@ def hall_basis(alphabet: Alphabet, k: int) -> HallBasis:
     return HallBasis(alphabet, k, elements)
 
 
-def _shuffle_inner(p: NcPoly, u: tuple, v: tuple):
-    """<p, u * v> without materializing the shuffle polynomial."""
-    total = Fraction(0)
-    for w, mult in shuffle_words(u, v).items():
-        c = p.terms.get(w)
-        if c is not None:
-            total = scalar_add(total, scalar_mul(c, mult))
-    return total
-
-
 def is_lie(p: NcPoly) -> bool:
     """Ree's criterion: each homogeneous part is orthogonal to every
     shuffle u * v with u, v nonempty.  Cost grows like m^k per part."""
@@ -211,7 +201,7 @@ def is_lie(p: NcPoly) -> bool:
         for r in range(1, k):
             for u in alphabet.words(r):
                 for v in alphabet.words(k - r):
-                    if not is_zero_scalar(_shuffle_inner(part, u, v)):
+                    if not is_zero_scalar(shuffle_inner(part, u, v)):
                         return False
     return True
 
@@ -250,13 +240,14 @@ def decompose(p: NcPoly) -> tuple:
         return p, zero
     exps, inv = _projection_data(p.alphabet, k)
     rhs = [inner(e, p) for e in exps]
-    lie = zero
-    for i, e in enumerate(exps):
+    pairs = []
+    for e, row in zip(exps, inv):
         c = Fraction(0)
-        for j, b in enumerate(rhs):
-            c = scalar_add(c, scalar_mul(inv[i][j], b))
+        for a, b in zip(row, rhs):
+            c = scalar_add(c, scalar_mul(a, b))
         if not is_zero_scalar(c):
-            lie = lie + e.scale(c)
+            pairs.extend((w, scalar_mul(c, d)) for w, d in e.terms.items())
+    lie = collect(p.alphabet, pairs)
     return lie, p - lie
 
 

@@ -29,6 +29,7 @@ from .ncalg import (
     NcPoly,
     Scalar,
     coerce_scalar,
+    collect,
     concat_mul,
     inner,
     is_zero_scalar,
@@ -125,23 +126,17 @@ def derive(conn: Connection, p: NcPoly) -> NcPoly:
     if p.alphabet != conn.forms:
         raise ValueError("polynomial alphabet does not match the connection")
     images = tuple(conn.letter_image(i) for i in range(len(conn.forms)))
-    acc: dict = {}
 
-    def add(word, s):
-        tot = scalar_add(acc.get(word, Fraction(0)), s)
-        if is_zero_scalar(tot):
-            acc.pop(word, None)
-        else:
-            acc[word] = tot
+    def pairs():
+        for word, c in p.terms.items():
+            dc = scalar_dt(c)
+            if not is_zero_scalar(dc):
+                yield word, dc
+            for pos, letter in enumerate(word):
+                for j, s in images[letter]:
+                    yield word[:pos] + (j,) + word[pos + 1 :], scalar_mul(c, s)
 
-    for word, c in p.terms.items():
-        dc = scalar_dt(c)
-        if not is_zero_scalar(dc):
-            add(word, dc)
-        for pos, letter in enumerate(word):
-            for j, s in images[letter]:
-                add(word[:pos] + (j,) + word[pos + 1 :], scalar_mul(c, s))
-    return NcPoly(p.alphabet, acc)
+    return collect(p.alphabet, pairs())
 
 
 def melnikov_integrand(conn: Connection, omega: NcPoly, k: int) -> NcPoly:

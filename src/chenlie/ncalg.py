@@ -15,6 +15,11 @@ empty tuple is the unit word.  :class:`NcPoly` is a sparse word -> scalar
 mapping supporting the concatenation product, the shuffle product, the
 canonical inner product (words are orthonormal), and extraction of
 homogeneous parts.  No floating point anywhere.
+
+:func:`collect` is the one place where NcPoly terms are summed.  Sums,
+differences, both products, truncated series products
+(``chenint.ts_mul``) and the Gauss-Manin derivation (``melnikov.derive``)
+each only generate (word, scalar) contributions and hand them to it.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ __all__ = [
     "concat_mul",
     "shuffle",
     "shuffle_words",
+    "shuffle_inner",
+    "collect",
     "inner",
     "homogeneous_part",
 ]
@@ -79,7 +86,41 @@ def _mono_str(m: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
-class MPoly:
+def _operator(fn):
+    """A binary operator of MPoly and RatFunc: fn(self, other) for an
+    operand in the scalar tower, NotImplemented for any other."""
+
+    def op(self, other):
+        if not isinstance(other, (int, Fraction, _ScalarOps)):
+            return NotImplemented
+        return fn(self, other)
+
+    return op
+
+
+class _ScalarOps:
+    """The operators MPoly and RatFunc share; each delegates to the
+    union-level scalar functions."""
+
+    __slots__ = ()
+
+    __add__ = __radd__ = _operator(lambda a, b: scalar_add(a, b))
+    __sub__ = _operator(lambda a, b: scalar_add(a, scalar_neg(b)))
+    __rsub__ = _operator(lambda a, b: scalar_add(b, scalar_neg(a)))
+    __mul__ = __rmul__ = _operator(lambda a, b: scalar_mul(a, b))
+    __truediv__ = _operator(lambda a, b: scalar_div(a, b))
+    __rtruediv__ = _operator(lambda a, b: scalar_div(b, a))
+
+    def __pow__(self, n: int):
+        return scalar_pow(self, n)
+
+    def __str__(self):
+        return scalar_str(self)
+
+    __repr__ = __str__
+
+
+class MPoly(_ScalarOps):
     """Multivariate polynomial with Fraction coefficients.
 
     Always non-constant: constructors demote constants to ``Fraction``.
@@ -105,47 +146,8 @@ class MPoly:
                 seen.add(v)
         return tuple(sorted(seen))
 
-    # -- arithmetic (delegates to the union-level functions) -------------
-
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(self, scalar_neg(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(other, scalar_neg(self))
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_div(self, other)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_div(other, self)
-
     def __neg__(self):
         return MPoly({m: -c for m, c in self.terms.items()})
-
-    def __pow__(self, n: int):
-        return scalar_pow(self, n)
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
@@ -156,13 +158,8 @@ class MPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __str__(self):
-        return scalar_str(self)
 
-    __repr__ = __str__
-
-
-class RatFunc:
+class RatFunc(_ScalarOps):
     """Quotient num/den with den a monic non-constant polynomial in t.
 
     Normalized: gcd(num, den) = 1 over Q(other vars)[t]; den monic in t.
@@ -177,45 +174,8 @@ class RatFunc:
         self.num = num  # Fraction | MPoly, nonzero
         self.den = den  # MPoly in TVAR only, monic, degree >= 1
 
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(self, scalar_neg(other))
-
-    def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_add(other, scalar_neg(self))
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_div(self, other)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, (int, Fraction, MPoly, RatFunc)):
-            return NotImplemented
-        return scalar_div(other, self)
-
     def __neg__(self):
         return RatFunc(scalar_neg(self.num), self.den)
-
-    def __pow__(self, n: int):
-        return scalar_pow(self, n)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -224,11 +184,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __str__(self):
-        return scalar_str(self)
-
-    __repr__ = __str__
 
 
 Scalar = Union[Fraction, MPoly, RatFunc]
@@ -275,11 +230,7 @@ def _mpoly_terms(x: Scalar) -> dict:
 def _mpoly_add(a, b) -> Scalar:
     out = dict(_mpoly_terms(a))
     for m, c in _mpoly_terms(b).items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+        out[m] = out.get(m, 0) + c
     return _make_mpoly(out)
 
 
@@ -289,11 +240,7 @@ def _mpoly_mul(a, b) -> Scalar:
     for ma, ca in ta.items():
         for mb, cb in tb.items():
             m = _mono_mul(ma, mb)
-            s = out.get(m, Fraction(0)) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + ca * cb
     return _make_mpoly(out)
 
 
@@ -307,41 +254,10 @@ def _up_trim(c: list) -> tuple:
     return tuple(c)
 
 
-def _up_from_scalar(x) -> tuple:
-    """Fraction or MPoly in TVAR only -> upoly."""
-    if isinstance(x, Fraction):
-        return (x,) if x else ()
-    coeffs: dict = {}
-    for m, c in x.terms.items():
-        if not m:
-            coeffs[0] = c
-        elif len(m) == 1 and m[0][0] == TVAR:
-            coeffs[m[0][1]] = c
-        else:
-            raise ValueError(f"not a polynomial in {TVAR}: {x}")
-    if not coeffs:
-        return ()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return _up_trim(out)
-
-
 def _up_to_scalar(u: tuple) -> Scalar:
     return _make_mpoly(
         {((TVAR, e),) if e else (): c for e, c in enumerate(u) if c}
     )
-
-
-def _up_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _up_trim(out)
 
 
 def _up_divmod(a: tuple, b: tuple) -> tuple:
@@ -420,7 +336,7 @@ def _make_ratfunc(num, den) -> Scalar:
         raise ValueError(f"denominator must be a polynomial in {TVAR}: {den}")
     if is_zero_scalar(num):
         return Fraction(0)
-    dup = _up_from_scalar(den)
+    dup = _t_content_split(den)[()]  # den lies in Q[t]: one group
     groups = _t_content_split(num)
     g = dup
     for u in groups.values():
@@ -463,10 +379,7 @@ def scalar_add(a, b) -> Scalar:
 
 
 def scalar_neg(a) -> Scalar:
-    a = coerce_scalar(a)
-    if isinstance(a, Fraction):
-        return -a
-    return -a
+    return -coerce_scalar(a)
 
 
 def scalar_mul(a, b) -> Scalar:
@@ -518,11 +431,7 @@ def scalar_dt(a) -> Scalar:
                 if v == TVAR:
                     rest = m[:idx] + m[idx + 1:]
                     nm = _mono_mul(rest, ((TVAR, e - 1),) if e > 1 else ())
-                    s = out.get(nm, Fraction(0)) + c * e
-                    if s:
-                        out[nm] = s
-                    else:
-                        out.pop(nm, None)
+                    out[nm] = out.get(nm, 0) + c * e
                     break
         return _make_mpoly(out)
     n, d = a.num, a.den
@@ -729,18 +638,17 @@ class NcPoly:
             )
 
     def __add__(self, other: "NcPoly") -> "NcPoly":
+        if not isinstance(other, NcPoly):
+            return NotImplemented
         self._check_alphabet(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = scalar_add(out.get(w, Fraction(0)), c)
-            if is_zero_scalar(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return NcPoly(self.alphabet, out)
+        return collect(self.alphabet, other.terms.items(), self.terms)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
+        if not isinstance(other, NcPoly):
+            return NotImplemented
+        self._check_alphabet(other)
+        negated = ((w, scalar_neg(c)) for w, c in other.terms.items())
+        return collect(self.alphabet, negated, self.terms)
 
     def __neg__(self) -> "NcPoly":
         return NcPoly(
@@ -804,19 +712,35 @@ class NcPoly:
 # -- products and pairings ----------------------------------------------------
 
 
+def collect(alphabet: Alphabet, pairs: Iterable, start: Mapping = ()) -> NcPoly:
+    """The NcPoly sum of ``start`` (a word -> scalar mapping) and the
+    (word, scalar) pairs: each pair is added with ``scalar_add``, and a word
+    whose sum is zero is dropped.  Scalars must be normalized (Fraction,
+    MPoly or RatFunc, never a bare int), as every ``scalar_*`` result and
+    every NcPoly coefficient is; the result skips the constructor's
+    normalization pass."""
+    out = dict(start)
+    for w, c in pairs:
+        if w in out:
+            c = scalar_add(out[w], c)
+        if is_zero_scalar(c):
+            out.pop(w, None)
+        else:
+            out[w] = c
+    p = NcPoly.__new__(NcPoly)
+    p.alphabet = alphabet
+    p.terms = out
+    return p
+
+
 def concat_mul(p: NcPoly, q: NcPoly) -> NcPoly:
     """Bilinear extension of word concatenation (the associative product)."""
     p._check_alphabet(q)
-    out: dict = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
-            w = wp + wq
-            s = scalar_add(out.get(w, Fraction(0)), scalar_mul(cp, cq))
-            if is_zero_scalar(s):
-                out.pop(w, None)
-            else:
-                out[w] = s
-    return NcPoly(p.alphabet, out)
+    return collect(p.alphabet, (
+        (wp + wq, scalar_mul(cp, cq))
+        for wp, cp in p.terms.items()
+        for wq, cq in q.terms.items()
+    ))
 
 
 _SHUFFLE_CACHE: dict = {}
@@ -846,17 +770,26 @@ def shuffle_words(u: Word, v: Word) -> dict:
 def shuffle(p: NcPoly, q: NcPoly) -> NcPoly:
     """Bilinear extension of the word shuffle product."""
     p._check_alphabet(q)
-    out: dict = {}
-    for wp, cp in p.terms.items():
-        for wq, cq in q.terms.items():
-            c = scalar_mul(cp, cq)
-            for w, mult in shuffle_words(wp, wq).items():
-                s = scalar_add(out.get(w, Fraction(0)), scalar_mul(c, mult))
-                if is_zero_scalar(s):
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-    return NcPoly(p.alphabet, out)
+
+    def pairs():
+        for wp, cp in p.terms.items():
+            for wq, cq in q.terms.items():
+                c = scalar_mul(cp, cq)
+                for w, mult in shuffle_words(wp, wq).items():
+                    yield w, scalar_mul(c, mult)
+
+    return collect(p.alphabet, pairs())
+
+
+def shuffle_inner(p: NcPoly, u: Word, v: Word) -> Scalar:
+    """<p, u * v> for the shuffle u * v of two words, without building the
+    shuffle polynomial."""
+    total: Scalar = Fraction(0)
+    for w, mult in shuffle_words(u, v).items():
+        c = p.terms.get(w)
+        if c is not None:
+            total = scalar_add(total, scalar_mul(c, mult))
+    return total
 
 
 def inner(p: NcPoly, q: NcPoly) -> Scalar:

@@ -23,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .freegrp import GroupWord, commutator, gw_inv, gw_mul
+from .freegrp import GroupWord, commutator, gw_inv
 from .liealg import LieTree
 from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
 
 __all__ = [
     "MAX_NESTING",
+    "MAX_GW_LETTERS",
     "ParseError",
     "parse",
     "parse_poly",
@@ -49,6 +50,12 @@ __all__ = [
 # and build_poly, build_gw and build_lietree at most three per level, so
 # accepted input stays well inside Python's default recursion limit (1000).
 MAX_NESTING = 100
+
+# Most letters a group word may have before free reduction.  A commutator
+# doubles the length of its arguments, so nesting alone, well inside
+# MAX_NESTING, could ask for more letters than memory holds; build_gw checks
+# this bound on the syntax tree before it builds anything.
+MAX_GW_LETTERS = 100_000
 
 
 class ParseError(ValueError):
@@ -466,7 +473,30 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
     return ev(node)
 
 
+def _gw_letters(n) -> int:
+    """Letters of a group-word syntax tree before free reduction: an upper
+    bound on the length of the word it builds."""
+    if isinstance(n, GIdent):
+        return 1
+    if isinstance(n, GOne):
+        return 0
+    if isinstance(n, GPow):
+        return abs(n.exponent) * _gw_letters(n.base)
+    if isinstance(n, GComm):
+        return 2 * (_gw_letters(n.left) + _gw_letters(n.right))
+    if isinstance(n, GProd):
+        return sum(_gw_letters(f) for f in n.factors)
+    raise TypeError(f"not a group-word syntax node: {n!r}")
+
+
 def build_gw(node, alphabet: Alphabet) -> GroupWord:
+    letters = _gw_letters(node)
+    if letters > MAX_GW_LETTERS:
+        raise ValueError(
+            f"group word of up to {letters} letters exceeds the limit of "
+            f"{MAX_GW_LETTERS}"
+        )
+
     def ev(n) -> GroupWord:
         if isinstance(n, GIdent):
             return GroupWord.generator(alphabet, alphabet.index(n.name))
@@ -474,19 +504,15 @@ def build_gw(node, alphabet: Alphabet) -> GroupWord:
             return GroupWord.identity(alphabet)
         if isinstance(n, GPow):
             base = ev(n.base)
+            if not base.entries:  # the letter bound puts no limit on its exponent
+                return base
             if n.exponent < 0:
                 base = gw_inv(base)
-            out = GroupWord.identity(alphabet)
-            for _ in range(abs(n.exponent)):
-                out = gw_mul(out, base)
-            return out
+            return GroupWord(alphabet, base.entries * abs(n.exponent))
         if isinstance(n, GComm):
             return commutator(ev(n.left), ev(n.right))
         if isinstance(n, GProd):
-            out = GroupWord.identity(alphabet)
-            for f in n.factors:
-                out = gw_mul(out, ev(f))
-            return out
+            return GroupWord(alphabet, tuple(e for f in n.factors for e in ev(f).entries))
         raise TypeError(f"not a group-word syntax node: {n!r}")
 
     return ev(node)

@@ -3,6 +3,7 @@ exit codes, stdin input, and the JSON model/connection/table loaders."""
 
 import io
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,14 @@ def test_monodromy_reduce(capsys):
     assert "h3" in doc["op"]
 
 
+def test_monodromy_vector_may_start_with_a_minus_sign(capsys):
+    plain = ok(capsys, "monodromy", "reduce", "-1,0,2,0,0,3")
+    assert plain == ok(capsys, "monodromy", "reduce", "--", "-1,0,2,0,0,3")
+    assert plain.splitlines()[1] == "k: 2"
+    doc = as_json(capsys, "monodromy", "reduce", "-1,0,-2,0,0,3")
+    assert doc == as_json(capsys, "monodromy", "reduce", "--", "-1,0,-2,0,0,3")
+
+
 def test_json_flag_position_is_flexible(capsys):
     before = ok(capsys, "--json", "ck", "-k", "2")
     after = ok(capsys, "ck", "-k", "2", "--json")
@@ -170,6 +179,19 @@ def test_deep_nesting_is_a_one_line_error(capsys):
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "nesting" in err
+
+
+def test_oversized_group_words_are_a_one_line_error(capsys):
+    nested = "y"
+    for _ in range(16):
+        nested = f"(x,{nested})"
+    for text in (nested, "x^1000000000"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "lcs", text)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "100000" in err
 
 
 def test_zero_weight_denominator_is_named(capsys):

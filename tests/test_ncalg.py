@@ -7,6 +7,8 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlie.chenint import TruncSeries, ts_mul
+from chenlie.melnikov import Connection, derive
 from chenlie.ncalg import (
     Alphabet,
     MPoly,
@@ -14,6 +16,7 @@ from chenlie.ncalg import (
     RatFunc,
     TVAR,
     coerce_scalar,
+    collect,
     concat_mul,
     default_letters,
     homogeneous_part,
@@ -26,6 +29,7 @@ from chenlie.ncalg import (
     scalar_pow,
     scalar_str,
     shuffle,
+    shuffle_inner,
     shuffle_words,
     var,
     word_str,
@@ -241,3 +245,118 @@ def test_poly_printing_goldens():
         == "((1/2)/t^2)*x"
     assert str(NcPoly.one(XY).scale(scalar_add(w2, scalar_mul(w1, -1)))) \
         == "(w2 - w1)"
+
+
+# ------------------------------------------------- the accumulate kernel
+
+def _assert_normalized(p):
+    """The NcPoly invariant the kernel keeps without the constructor's
+    pass: every coefficient is a nonzero Fraction, MPoly or RatFunc."""
+    for c in p.terms.values():
+        assert type(c) in (Fraction, MPoly, RatFunc), (p, c)
+        assert not is_zero_scalar(c), p
+
+
+kernel_scalars = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    st.sampled_from([var("w1"), scalar_mul(var("w1"), -1), var(TVAR)]),
+    st.builds(lambda a, b: scalar_add(var(a), coerce_scalar(b)),
+              st.sampled_from(["w1", TVAR]), st.integers(-2, 2)),
+)
+
+
+def kernel_polys(alphabet=XY, max_deg=2):
+    words = [w for k in range(max_deg + 1) for w in alphabet.words(k)]
+    return st.dictionaries(st.sampled_from(words), kernel_scalars, max_size=4) \
+        .map(lambda terms: NcPoly(alphabet, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_polys(), kernel_polys(), st.integers(0, 4))
+def test_kernel_results_stay_normalized(p, q, n):
+    # Inputs built to cancel: p - p, and p + (q - p) = q.
+    assert (p - p).is_zero() and (p + (-p)).is_zero()
+    assert p + (q - p) == q
+    assert (p - q) + (q - p) == NcPoly.zero(XY)
+    conn = Connection(XY, var(TVAR), ((var("w1"), 1), (0, Fraction(-1, 2))))
+    results = [
+        concat_mul(p, q), concat_mul(p, -p), shuffle(p, q), shuffle(p, -p),
+        p + q, p - q, p - p, p + (q - p),
+        ts_mul(TruncSeries(n, p), TruncSeries(n, q)).poly,
+        derive(conn, p), derive(conn, p - q),
+    ]
+    for r in results:
+        _assert_normalized(r)
+
+
+def test_kernel_cancels_and_keeps_start():
+    w1 = var("w1")
+    start = {(0,): w1, (1,): Fraction(2)}
+    p = collect(XY, [((0,), scalar_mul(w1, -1)), ((0, 1), Fraction(3))], start)
+    assert p.terms == {(1,): Fraction(2), (0, 1): Fraction(3)}
+    assert start == {(0,): w1, (1,): Fraction(2)}  # start is not mutated
+    assert collect(XY, [((0,), Fraction(1)), ((0,), Fraction(-1))]).is_zero()
+
+
+def test_shuffle_inner_matches_the_shuffle_polynomial():
+    p = NcPoly(XY, {(0, 1, 0): 3, (0, 0, 1): var("w1"), (1, 0, 0): Fraction(1, 2)})
+    for u, v in (((0,), (1, 0)), ((0, 1), (0,)), ((1,), (0, 0))):
+        s = shuffle(NcPoly.from_word(XY, u), NcPoly.from_word(XY, v))
+        assert shuffle_inner(p, u, v) == inner(p, s)
+
+
+# ------------------------------------------------ the scalar operator base
+
+def test_reflected_operators_match_scalar_functions():
+    t, w1 = var(TVAR), var("w1")
+    p = scalar_add(t, 1)
+    r = scalar_div(w1, t)
+    for x in (p, r, w1):
+        for a in (1, 3, Fraction(-2, 5)):
+            assert a + x == scalar_add(a, x) and x + a == scalar_add(x, a)
+            assert a - x == scalar_add(a, scalar_mul(x, -1))
+            assert x - a == scalar_add(x, -a)
+            assert a * x == scalar_mul(a, x) and x * a == scalar_mul(x, a)
+            assert x / a == scalar_div(x, a)
+    for x in (p, scalar_div(3, t)):  # division needs a divisor in Q(t)
+        assert 2 / x == scalar_div(2, x)
+        assert Fraction(1, 3) / x == scalar_div(Fraction(1, 3), x)
+    assert 1 - r == scalar_add(1, scalar_mul(r, -1))
+    assert 3 * r == scalar_mul(3, r)
+    assert r ** 2 == scalar_pow(r, 2) and p ** -1 == scalar_div(1, p)
+    assert p - p == 0 and isinstance(p - p, Fraction)
+    assert str(r) == repr(r) == scalar_str(r) == "w1/t"
+
+
+def test_foreign_operands_raise_type_error():
+    w1 = var("w1")
+    r = scalar_div(w1, var(TVAR))
+    x = NcPoly.letter(XY, 0)
+    for bad in ("a", 1.5, None):
+        for v in (w1, r, x):
+            with pytest.raises(TypeError):
+                v + bad
+            with pytest.raises(TypeError):
+                bad - v
+    with pytest.raises(TypeError):
+        w1 * "a"
+    with pytest.raises(TypeError):
+        "a" / r
+
+
+def test_equal_values_hash_equal():
+    t, w1, w2 = var(TVAR), var("w1"), var("w2")
+    pairs = [
+        (scalar_add(w1, w2), scalar_add(w2, w1)),
+        (scalar_mul(scalar_add(w1, 1), scalar_add(w1, -1)),
+         scalar_add(scalar_mul(w1, w1), -1)),
+        (scalar_div(w1, t), scalar_div(scalar_mul(w1, t), scalar_mul(t, t))),
+        (scalar_div(1, scalar_add(t, 1)),
+         scalar_div(scalar_add(t, -1), scalar_add(scalar_mul(t, t), -1))),
+    ]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    x, y = NcPoly.letter(XY, 0), NcPoly.letter(XY, 1)
+    p = concat_mul(x, y).scale(w1) + y
+    q = y + NcPoly(XY, {(0, 1): w1})
+    assert p == q and hash(p) == hash(q)

@@ -21,6 +21,7 @@ from chenlie.ncalg import (
     var,
 )
 from chenlie.parser import (
+    MAX_GW_LETTERS,
     MAX_NESTING,
     ParseError,
     parse,
@@ -170,6 +171,25 @@ def test_nesting_at_the_limit_parses():
         == factorial(n)
     assert parse_gw(_nested(n, lambda e: f"({e})^-1"), alphabet=XY) == \
         GroupWord.generator(XY, 0)
+
+
+def test_group_word_letter_cap():
+    """A depth-14 nested commutator (32794 letters, bound 3 * 2^14 - 2)
+    builds; depth 16 (bound 196606) is refused before anything is built,
+    and so is a power whose letters exceed the cap."""
+    assert len(parse_gw(_nested(14, lambda e: f"(x,{e})", "y"), alphabet=XY)) \
+        == 32794
+    assert len(parse_gw(f"x^{MAX_GW_LETTERS}", alphabet=XY)) == MAX_GW_LETTERS
+    assert parse_gw(f"(x y)^{MAX_GW_LETTERS // 4} (y^-1 x^-1)^{MAX_GW_LETTERS // 4}",
+                    alphabet=XY) == GroupWord.identity(XY)
+    assert parse_gw("(1)^-100000000000000000000", alphabet=XY) == GroupWord.identity(XY)
+    for text, letters in ((_nested(16, lambda e: f"(x,{e})", "y"), 196606),
+                          (f"x^{MAX_GW_LETTERS + 1}", MAX_GW_LETTERS + 1),
+                          ("(x y)^-60000", 120000)):
+        with pytest.raises(ValueError) as exc:
+            parse_gw(text, alphabet=XY)
+        assert str(letters) in str(exc.value)
+        assert str(MAX_GW_LETTERS) in str(exc.value)
 
 
 def test_trailing_input_rejected():
