@@ -150,7 +150,7 @@ class HallBasis:
         return tuple(expand(t, self.alphabet) for t in self.elements)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _hall_levels(alphabet: Alphabet, k: int) -> tuple:
     """Hall set levels 1..k.
 
@@ -206,7 +206,7 @@ def is_lie(p: NcPoly) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _projection_data(alphabet: Alphabet, k: int) -> tuple:
     """Hall expansions and the inverse Gram matrix for degree k."""
     basis = hall_basis(alphabet, k)

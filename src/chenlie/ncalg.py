@@ -16,6 +16,14 @@ mapping supporting the concatenation product, the shuffle product, the
 canonical inner product (words are orthonormal), and extraction of
 homogeneous parts.  No floating point anywhere.
 
+RatFunc normalization cancels the gcd of numerator and denominator with the
+Euclidean algorithm over Q[t], except where the answer is known without it.
+A one-term denominator c t^a (Delta = t for every diagonal, quasi-homogeneous
+connection) shares with the numerator exactly t to the least t-exponent the
+numerator has, so that power is cancelled directly.  Two RatFuncs over the
+same denominator add their numerators and are normalized once, instead of
+cross-multiplying into the squared denominator.
+
 :func:`collect` is the one place where NcPoly terms are summed.  Sums,
 differences, both products, truncated series products
 (``chenint.ts_mul``) and the Gauss-Manin derivation (``melnikov.derive``)
@@ -206,6 +214,8 @@ def coerce_scalar(x) -> Scalar:
 
 
 def is_zero_scalar(x) -> bool:
+    if type(x) is Fraction:
+        return not x
     x = coerce_scalar(x)
     return isinstance(x, Fraction) and x == 0
 
@@ -230,7 +240,7 @@ def _mpoly_terms(x: Scalar) -> dict:
 def _mpoly_add(a, b) -> Scalar:
     out = dict(_mpoly_terms(a))
     for m, c in _mpoly_terms(b).items():
-        out[m] = out.get(m, 0) + c
+        out[m] = out[m] + c if m in out else c
     return _make_mpoly(out)
 
 
@@ -240,7 +250,7 @@ def _mpoly_mul(a, b) -> Scalar:
     for ma, ca in ta.items():
         for mb, cb in tb.items():
             m = _mono_mul(ma, mb)
-            out[m] = out.get(m, 0) + ca * cb
+            out[m] = out[m] + ca * cb if m in out else ca * cb
     return _make_mpoly(out)
 
 
@@ -326,6 +336,38 @@ def _t_content_split(num) -> dict:
     return out
 
 
+def _t_exp(m: Mono) -> int:
+    for v, e in m:
+        if v == TVAR:
+            return e
+    return 0
+
+
+def _make_laurent(num, den: MPoly) -> Scalar:
+    """num / (c t^a), normalized as _make_ratfunc would: the gcd of a
+    monomial denominator with the numerator is t^s, s = min(a, least
+    t-exponent of num), so it is cancelled without the Euclidean gcd."""
+    ((dmono, c),) = den.terms.items()
+    a = dmono[0][1]
+    terms = _mpoly_terms(num)
+    s = min(a, min(_t_exp(m) for m in terms))
+    if not s and c == 1:
+        return RatFunc(num, den)
+    if s:
+        terms = {
+            tuple((v, e - s) if v == TVAR else (v, e)
+                  for v, e in m if v != TVAR or e != s): x
+            for m, x in terms.items()
+        }
+    if c != 1:
+        inv = Fraction(1) / c
+        terms = {m: x * inv for m, x in terms.items()}
+    num = _make_mpoly(terms)
+    if a == s:
+        return num
+    return RatFunc(num, MPoly({((TVAR, a - s),): Fraction(1)}))
+
+
 def _make_ratfunc(num, den) -> Scalar:
     """Normalize num/den: cancel the gcd, make den monic, demote."""
     if isinstance(den, Fraction):
@@ -336,6 +378,8 @@ def _make_ratfunc(num, den) -> Scalar:
         raise ValueError(f"denominator must be a polynomial in {TVAR}: {den}")
     if is_zero_scalar(num):
         return Fraction(0)
+    if len(den.terms) == 1:
+        return _make_laurent(num, den)
     dup = _t_content_split(den)[()]  # den lies in Q[t]: one group
     groups = _t_content_split(num)
     g = dup
@@ -367,9 +411,13 @@ def _make_ratfunc(num, den) -> Scalar:
 
 
 def scalar_add(a, b) -> Scalar:
+    if type(a) is Fraction and type(b) is Fraction:
+        return a + b
     a, b = coerce_scalar(a), coerce_scalar(b)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
+    if isinstance(a, RatFunc) and isinstance(b, RatFunc) and a.den == b.den:
+        return _make_ratfunc(_mpoly_add(a.num, b.num), a.den)
     if isinstance(a, RatFunc) or isinstance(b, RatFunc):
         na, da = _num_den(a)
         nb, db = _num_den(b)
@@ -383,6 +431,8 @@ def scalar_neg(a) -> Scalar:
 
 
 def scalar_mul(a, b) -> Scalar:
+    if type(a) is Fraction and type(b) is Fraction:
+        return a * b
     a, b = coerce_scalar(a), coerce_scalar(b)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
@@ -414,8 +464,12 @@ def scalar_pow(a, n: int) -> Scalar:
     if n < 0:
         return scalar_div(Fraction(1), scalar_pow(a, -n))
     out: Scalar = Fraction(1)
-    for _ in range(n):
-        out = scalar_mul(out, a)
+    while n:
+        if n & 1:
+            out = scalar_mul(out, a)
+        n >>= 1
+        if n:
+            a = scalar_mul(a, a)
     return out
 
 
@@ -743,7 +797,10 @@ def concat_mul(p: NcPoly, q: NcPoly) -> NcPoly:
     ))
 
 
+# Word-pair shuffles, shared by every caller; emptied when it holds
+# _SHUFFLE_CACHE_MAX entries, so a long-running process stays bounded.
 _SHUFFLE_CACHE: dict = {}
+_SHUFFLE_CACHE_MAX = 65_536
 
 
 def shuffle_words(u: Word, v: Word) -> dict:
@@ -763,6 +820,8 @@ def shuffle_words(u: Word, v: Word) -> dict:
     for w, c in shuffle_words(key[0], key[1][1:]).items():
         w = (key[1][0],) + w
         out[w] = out.get(w, 0) + c
+    if len(_SHUFFLE_CACHE) >= _SHUFFLE_CACHE_MAX:
+        _SHUFFLE_CACHE.clear()
     _SHUFFLE_CACHE[key] = out
     return out
 

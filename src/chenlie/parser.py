@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .freegrp import GroupWord, commutator, gw_inv
 from .liealg import LieTree
@@ -30,6 +31,7 @@ from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
 __all__ = [
     "MAX_NESTING",
     "MAX_GW_LETTERS",
+    "MAX_POLY_LETTERS",
     "ParseError",
     "parse",
     "parse_poly",
@@ -56,6 +58,12 @@ MAX_NESTING = 100
 # MAX_NESTING, could ask for more letters than memory holds; build_gw checks
 # this bound on the syntax tree before it builds anything.
 MAX_GW_LETTERS = 100_000
+
+# Most letters, summed over its words, a polynomial expression may reach
+# before it is built.  Powers, products and shuffles multiply the number of
+# words, so a short expression such as (x+y)^40 could ask for more words
+# than memory holds; build_poly checks this bound on the syntax tree.
+MAX_POLY_LETTERS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -424,10 +432,77 @@ def infer_alphabet(nodes, scalars=()) -> Alphabet:
 # ---------------------------------------------------------------------------
 
 
+def _comb(n: int, k: int) -> int:
+    """C(n, k) when min(k, n - k) <= 64; past that C(n, 64) > 2^64, which
+    is over MAX_POLY_LETTERS as C(n, k) is, and cheap for any n."""
+    return comb(n, min(k, n - k, 64))
+
+
+def _add_md(a, b):
+    return None if a is None or b is None else tuple(map(sum, zip(a, b)))
+
+
+def _poly_size(n, alphabet: Alphabet) -> tuple:
+    """(terms, degree, multidegree) of the NcPoly a poly syntax tree builds:
+    at most ``terms`` (word, coefficient monomial) pairs, no word longer
+    than ``degree``.  ``multidegree`` counts each letter when every word has
+    the same counts and every coefficient is rational, and is None
+    otherwise; the words of one multidegree, a multinomial number, bound
+    the terms too, so a nested bracket such as [x,[x,...[x,y]...]] counts
+    one term per word it can have.  Every subtree is built, so each must
+    stay within MAX_POLY_LETTERS letters (terms times the degree, at least
+    1).  Each count is exact or already over that limit."""
+    if isinstance(n, PInt):
+        t, d, md = 1, 0, (0,) * len(alphabet)
+    elif isinstance(n, PIdent):
+        if n.name in alphabet.letters:
+            t, d, md = 1, 1, tuple(int(n.name == a) for a in alphabet.letters)
+        else:
+            t, d, md = 1, 0, None
+    elif isinstance(n, PPow):
+        t, d, md = _poly_size(n.base, alphabet)
+        e = abs(n.exponent)
+        # Past 64 factors any base of two or more terms is over the limit
+        # (2^64 > MAX_POLY_LETTERS), so the count stops there.
+        t, d = t ** min(e, 64), e * d
+        md = None if md is None else tuple(e * a for a in md)
+    elif isinstance(n, (PProd, PDiv)):
+        t, d, md = 1, 0, (0,) * len(alphabet)
+        for f in (n.factors if isinstance(n, PProd) else (n.num, n.den)):
+            tf, df, mf = _poly_size(f, alphabet)
+            t, d, md = t * tf, d + df, _add_md(md, mf)
+    elif isinstance(n, (PBracket, PShuffle)):
+        t1, d1, m1 = _poly_size(n.left, alphabet)
+        t2, d2, m2 = _poly_size(n.right, alphabet)
+        shuffles = 2 if isinstance(n, PBracket) else _comb(d1 + d2, d1)
+        t, d, md = t1 * t2 * shuffles, d1 + d2, _add_md(m1, m2)
+    elif isinstance(n, PSum):
+        sizes = [_poly_size(term, alphabet) for _, term in n.terms]
+        t = sum(s[0] for s in sizes)
+        d = max(s[1] for s in sizes)
+        md = sizes[0][2] if all(s[2] == sizes[0][2] for s in sizes) else None
+    else:
+        raise TypeError(f"not a poly syntax node: {n!r}")
+    if md is not None:
+        words, total = 1, 0
+        for a in md:
+            total += a
+            words *= _comb(total, a)
+        t = min(t, words)
+    letters = t * max(d, 1)
+    if letters > MAX_POLY_LETTERS:
+        raise ValueError(
+            f"polynomial expression could reach {letters} letters, over the "
+            f"limit of {MAX_POLY_LETTERS}"
+        )
+    return t, d, md
+
+
 def build_poly(node, alphabet: Alphabet) -> NcPoly:
     """Evaluate a poly syntax tree.  Identifiers outside the alphabet are
     scalar indeterminates and ride along as degree-0 polynomials, so
     products never care which factor is which."""
+    _poly_size(node, alphabet)
 
     def ev(n) -> NcPoly:
         if isinstance(n, PInt):
@@ -443,9 +518,13 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
                 return NcPoly.one(alphabet).scale(c)
             if n.exponent < 0:
                 raise ValueError("negative powers need a scalar base")
-            out = NcPoly.one(alphabet)
-            for _ in range(n.exponent):
-                out = out * base
+            out, e = NcPoly.one(alphabet), n.exponent
+            while e:
+                if e & 1:
+                    out = out * base
+                e >>= 1
+                if e:
+                    base = base * base
             return out
         if isinstance(n, PProd):
             out = NcPoly.one(alphabet)

@@ -194,6 +194,17 @@ def test_oversized_group_words_are_a_one_line_error(capsys):
         assert "100000" in err
 
 
+def test_oversized_polynomials_are_a_one_line_error(capsys):
+    for text in ("x^1000000000", "(x+y)^40"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "expand", text)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "1000000" in err
+    assert ok(capsys, "expand", "x^100000") == "x^100000\n"
+
+
 def test_zero_weight_denominator_is_named(capsys):
     code, _, err = invoke(capsys, "ck", "-k", "3", "--weights", "1/0,2")
     assert code == 1

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlie import ncalg
 from chenlie.liealg import expand
 from chenlie.melnikov import (
     ALPHA,
@@ -146,6 +147,42 @@ def test_integrand_matches_weighted_word_sums():
             coef = scalar_mul(scalar_pow(al1, i), scalar_pow(al2, k - i))
             rhs = rhs + pk_closed_form(W, k, i).scale(coef)
         assert lhs == rhs
+
+
+
+class _EuclideanGcdCalled(Exception):
+    pass
+
+
+def test_diagonal_work_skips_the_euclidean_gcd(monkeypatch):
+    """Power-of-t denominators take the Laurent normalization and
+    same-denominator sums: with the univariate gcd and division patched to
+    raise, diagonal integrands and C_k still complete and match their
+    closed forms, while a denominator that is not a power of t still takes
+    the gcd."""
+
+    def refuse(*args):
+        raise _EuclideanGcdCalled
+
+    monkeypatch.setattr(ncalg, "_up_gcd", refuse)
+    monkeypatch.setattr(ncalg, "_up_divmod", refuse)
+    al1, al2 = var("al1"), var("al2")
+    om = NcPoly.letter(OM, 0).scale(al1) + NcPoly.letter(OM, 1).scale(al2)
+    for weights, omega, k in ((W, om, 6),
+                              (WeightPair(Fraction(1, 3), Fraction(-2, 5)),
+                               NcPoly.letter(OM, 0) - NcPoly.letter(OM, 1).scale(3), 8)):
+        conn = Connection.diagonal((weights.w1, weights.w2))
+        lhs = melnikov_integrand(conn, omega, k).scale(scalar_pow(T, k - 1))
+        a1, a2 = omega.coeff((0,)), omega.coeff((1,))
+        rhs = NcPoly.zero(OM)
+        for i in range(k + 1):
+            coef = scalar_mul(scalar_pow(a1, i), scalar_pow(a2, k - i))
+            rhs = rhs + pk_closed_form(weights, k, i).scale(coef)
+        assert lhs == rhs
+    assert ck(W, 7) == ck_closed_form(W, 7)
+    conn = Connection(OM, scalar_add(scalar_mul(T, T), -1), ((1, 0), (0, 2)))
+    with pytest.raises(_EuclideanGcdCalled):
+        melnikov_integrand(conn, NcPoly.letter(OM, 0), 2)
 
 
 # ------------------------------------------------------------------- p_k

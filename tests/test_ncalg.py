@@ -1,13 +1,16 @@
 """Scalar tower and free associative algebra: arithmetic laws, shuffle
 combinatorics, the duality pairing, and the printing grammar."""
 
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlie import ncalg
 from chenlie.chenint import TruncSeries, ts_mul
+from chenlie.liealg import is_lie
 from chenlie.melnikov import Connection, derive
 from chenlie.ncalg import (
     Alphabet,
@@ -34,6 +37,7 @@ from chenlie.ncalg import (
     var,
     word_str,
 )
+from conftest import random_lie_poly
 
 XY = Alphabet(("x", "y"))
 
@@ -360,3 +364,200 @@ def test_equal_values_hash_equal():
     p = concat_mul(x, y).scale(w1) + y
     q = y + NcPoly(XY, {(0, 1): w1})
     assert p == q and hash(p) == hash(q)
+
+
+# ------------------------------------ rational-function normalization oracle
+
+
+def _reference_ratfunc(num, den):
+    """num/den normalized by the Euclidean gcd alone, with no fast path:
+    the oracle the Laurent normalization and the same-denominator sum are
+    checked against."""
+    if isinstance(den, Fraction):
+        return ncalg._mpoly_mul(num, Fraction(1) / den)
+    if is_zero_scalar(num):
+        return Fraction(0)
+    dup = ncalg._t_content_split(den)[()]
+    groups = ncalg._t_content_split(num)
+    g = dup
+    for u in groups.values():
+        if len(g) <= 1:
+            break
+        g = ncalg._up_gcd(g, u)
+    if len(g) > 1:
+        dup, _ = ncalg._up_divmod(dup, g)
+        new_terms: dict = {}
+        for rest, u in groups.items():
+            q, r = ncalg._up_divmod(u, g)
+            assert not r
+            for e, c in enumerate(q):
+                if c:
+                    new_terms[ncalg._mono_mul(rest, ((TVAR, e),) if e else ())] = c
+        num = ncalg._make_mpoly(new_terms)
+    lead = dup[-1]
+    if lead != 1:
+        dup = tuple(c / lead for c in dup)
+        num = ncalg._mpoly_mul(num, Fraction(1) / lead)
+    if len(dup) == 1:
+        return num
+    return RatFunc(num, ncalg._up_to_scalar(dup))
+
+
+_num_den = ncalg._num_den
+_mul = ncalg._mpoly_mul
+
+
+def _reference_add(a, b):
+    (na, da), (nb, db) = _num_den(a), _num_den(b)
+    return _reference_ratfunc(ncalg._mpoly_add(_mul(na, db), _mul(nb, da)), _mul(da, db))
+
+
+def _reference_ops(a, b):
+    """Cross-multiplied sum, difference, product, quotient (for a divisor
+    in Q(t)) and t-derivative, each normalized by the reference."""
+    (na, da), (nb, db) = _num_den(a), _num_den(b)
+    out = {
+        "add": _reference_add(a, b),
+        "sub": _reference_add(a, scalar_mul(b, -1)),
+        "mul": _reference_ratfunc(_mul(na, nb), _mul(da, db)),
+        "dt": _reference_ratfunc(
+            ncalg._mpoly_add(_mul(scalar_dt(na), da), _mul(scalar_mul(na, -1), scalar_dt(da))),
+            _mul(da, da)),
+    }
+    if ncalg._is_tpoly(nb) and not is_zero_scalar(nb):
+        out["div"] = _reference_ratfunc(_mul(na, db), _mul(da, nb))
+    return out
+
+
+def _program_ops(a, b, names):
+    ops = {
+        "add": lambda: scalar_add(a, b),
+        "sub": lambda: scalar_add(a, scalar_mul(b, -1)),
+        "mul": lambda: scalar_mul(a, b),
+        "div": lambda: scalar_div(a, b),
+        "dt": lambda: scalar_dt(a),
+    }
+    return {name: ops[name]() for name in names}
+
+
+def _product(factors):
+    out = Fraction(1)
+    for f in factors:
+        out = _mul(out, f)
+    return out
+
+
+def _monomial(i, j):
+    return tuple(v for v in ((TVAR, i), ("w1", j)) if v[1])
+
+
+oracle_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+oracle_numerators = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2)), oracle_coeffs, max_size=4,
+).map(lambda terms: ncalg._make_mpoly({_monomial(i, j): c for (i, j), c in terms.items()}))
+oracle_t_numerators = st.dictionaries(st.integers(0, 3), oracle_coeffs, min_size=1, max_size=3) \
+    .map(lambda terms: ncalg._make_mpoly({_monomial(i, 0): c for i, c in terms.items()}))
+oracle_denominators = st.one_of(
+    # c t^a, the Laurent case (a = 0 is a constant denominator)
+    st.builds(lambda c, a: scalar_mul(c, scalar_pow(var(TVAR), a)),
+              oracle_coeffs.filter(bool), st.integers(0, 4)),
+    # products of (t - r), the general case
+    st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(
+        lambda roots: _product([scalar_add(var(TVAR), -r) for r in roots])),
+)
+
+
+oracle_scalars = st.builds(_reference_ratfunc, oracle_numerators, oracle_denominators)
+oracle_divisors = st.builds(_reference_ratfunc, oracle_t_numerators, oracle_denominators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_numerators, oracle_denominators)
+def test_normalization_matches_the_gcd_reference(num, den):
+    got = ncalg._make_ratfunc(num, den)
+    want = _reference_ratfunc(num, den)
+    assert got == want and hash(got) == hash(want)
+    assert scalar_str(got) == scalar_str(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_scalars, st.one_of(oracle_scalars, oracle_divisors))
+def test_scalar_ops_match_the_gcd_reference(a, b):
+    want = _reference_ops(a, b)
+    got = _program_ops(a, b, want)
+    for name in want:
+        assert got[name] == want[name], name
+        assert scalar_str(got[name]) == scalar_str(want[name]), name
+
+
+def test_same_denominator_sums_match_the_gcd_reference():
+    t, w1 = var(TVAR), var("w1")
+    dens = [t, scalar_mul(t, t), scalar_add(scalar_mul(t, t), -1),
+            scalar_mul(scalar_add(t, -1), scalar_add(t, 2))]
+    nums = [Fraction(3), w1, scalar_add(t, -1), scalar_mul(scalar_add(t, 2), w1),
+            scalar_add(scalar_mul(t, t), scalar_mul(t, -1))]
+    for den in dens:
+        for n1 in nums:
+            for n2 in nums:
+                a = _reference_ratfunc(n1, den)
+                b = _reference_ratfunc(scalar_mul(n2, -1), den)
+                for x, y in ((a, b), (a, a)):
+                    got, want = scalar_add(x, y), _reference_add(x, y)
+                    assert got == want and scalar_str(got) == scalar_str(want)
+
+
+def test_scalar_ops_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr,
+        standard_transformations,
+    )
+
+    def sym(x):
+        return parse_expr(scalar_str(x), transformations=standard_transformations + (convert_xor,))
+
+    t = sympy.Symbol(TVAR)
+
+    @settings(max_examples=40, deadline=None)
+    @given(oracle_scalars, st.one_of(oracle_scalars, oracle_divisors))
+    def check(a, b):
+        sa, sb = sym(a), sym(b)
+        expected = {"add": sa + sb, "sub": sa - sb, "mul": sa * sb, "dt": sympy.diff(sa, t)}
+        if sb != 0 and sb.free_symbols <= {t}:
+            expected["div"] = sa / sb
+        got = _program_ops(a, b, expected)
+        for name, want in expected.items():
+            assert sympy.cancel(sym(got[name]) - want) == 0, name
+
+    check()
+
+
+def test_scalar_pow_by_squaring_matches_repeated_products():
+    t, w1 = var(TVAR), var("w1")
+    for base in (scalar_add(t, w1), scalar_div(scalar_add(w1, 1), scalar_add(t, -1)),
+                 scalar_div(w1, t), scalar_div(3, scalar_add(t, 1)), Fraction(-2, 3)):
+        out = Fraction(1)
+        for n in range(12):
+            assert scalar_pow(base, n) == out
+            if ncalg._is_tpoly(_num_den(base)[0]):  # negative powers need Q(t)
+                assert scalar_pow(base, -n) == scalar_div(1, out)
+            out = scalar_mul(out, base)
+
+
+# ------------------------------------------------------ process-wide caches
+
+def test_shuffle_cache_stays_within_its_bound(monkeypatch):
+    p = random_lie_poly(random.Random(5), XY, 6)
+    monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE", {})
+    assert is_lie(p)
+    unbounded = len(ncalg._SHUFFLE_CACHE)
+    bound = 64
+    assert unbounded > bound  # the sweep would pass the bound
+    monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE", {})
+    monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE_MAX", bound)
+    assert is_lie(p)
+    assert 0 < len(ncalg._SHUFFLE_CACHE) <= bound
+    assert not is_lie(p + concat_mul(NcPoly.letter(XY, 0), p))
+    assert len(ncalg._SHUFFLE_CACHE) <= bound
+    assert shuffle_words((0, 1), (1,)) == {(0, 1, 1): 2, (1, 0, 1): 1}

@@ -2,7 +2,7 @@
 round trips across every scalar and polynomial form the library emits."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +23,7 @@ from chenlie.ncalg import (
 from chenlie.parser import (
     MAX_GW_LETTERS,
     MAX_NESTING,
+    MAX_POLY_LETTERS,
     ParseError,
     parse,
     parse_gw,
@@ -190,6 +191,32 @@ def test_group_word_letter_cap():
             parse_gw(text, alphabet=XY)
         assert str(letters) in str(exc.value)
         assert str(MAX_GW_LETTERS) in str(exc.value)
+
+
+def test_polynomial_letter_cap():
+    """Bounds are counted on the syntax tree before anything is built: a
+    power multiplies the terms of its base, a product or bracket the terms
+    of its factors, a shuffle also by the shuffles of two words, and
+    Fraction-coefficient words of one multidegree are at most the
+    multinomial number of such words."""
+    assert parse_poly("x^100000", alphabet=XY) == NcPoly.from_word(XY, (0,) * 100000)
+    assert len(parse_poly("(x+y)^15", alphabet=XY).terms) == 2 ** 15
+    # [x,[x,...[x,y]...]]: 2^n terms by the bracket rule, n + 1 words of
+    # multidegree (n, 1)
+    assert len(parse_poly(_nested(MAX_NESTING, lambda e: f"[x,{e}]", "y"),
+                          alphabet=XY).terms) == MAX_NESTING + 1
+    refused = (
+        ("(x+y)^16", 2 ** 16 * 16),
+        ("x^1000001", 1000001),
+        ("((x+y)^16)^0", 2 ** 16 * 16),  # every subtree is built
+        ("x^1000 # y^1000", comb(2000, 64) * 2000),
+        ("(a + b + c) * (x+y)^15", 3 * 2 ** 15 * 15),  # scalar terms count
+    )
+    for text, letters in refused:
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text, alphabet=XY)
+        assert str(letters) in str(exc.value)
+        assert str(MAX_POLY_LETTERS) in str(exc.value)
 
 
 def test_trailing_input_rejected():
