@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .liealg import is_lie
 from .ncalg import (
     Alphabet,
     NcPoly,
@@ -41,7 +42,6 @@ from .ncalg import (
     scalar_add,
     scalar_mul,
     scalar_neg,
-    shuffle_inner,
     var,
 )
 
@@ -165,20 +165,10 @@ def ts_inv(s, degree: int = None) -> TruncSeries:
 
 
 def is_grouplike(s: TruncSeries) -> bool:
-    """Shuffle relations: <s,u><s,v> = <s, u*v> for all nonempty word pairs
-    with |u|+|v| <= degree.  Equivalently, ts_log(s) is a Lie series."""
-    if s.poly.coeff(()) != 1:
-        return False
-    alphabet = s.poly.alphabet
-    n = s.degree
-    for r in range(1, n):
-        for u in alphabet.words(r):
-            cu = s.poly.coeff(u)
-            for ls in range(1, n - r + 1):
-                for v in alphabet.words(ls):
-                    if scalar_mul(cu, s.poly.coeff(v)) != shuffle_inner(s.poly, u, v):
-                        return False
-    return True
+    """Whether s is group-like: constant term 1 and a Lie logarithm, by
+    Ree's theorem; equivalently <s,u><s,v> = <s, u*v> for all nonempty
+    word pairs with |u|+|v| <= degree."""
+    return s.poly.coeff(()) == 1 and is_lie(ts_log(s).poly)
 
 
 @dataclass(frozen=True)

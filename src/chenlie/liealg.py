@@ -1,19 +1,20 @@
-"""Bracket expressions, Hall bases, the Lie-element criterion, and the
-orthogonal decomposition of each graded piece into Lie and shuffle parts.
+"""Bracket expressions, Hall bases, and the orthogonal decomposition of
+each graded piece into Lie and shuffle parts, which decides Lie membership.
 
 The degree-k slice of the free associative algebra splits as the direct sum
 of the degree-k free Lie algebra and the span of shuffle products of lower
-words, and the two summands are orthogonal under the canonical pairing.
-``is_lie`` tests membership in the first summand by orthogonality to all
-shuffles (Ree's criterion); ``decompose`` projects onto it by solving the
-Gram system of a Hall basis.
+words, orthogonal under the canonical pairing.  ``decompose`` projects onto
+the first summand by solving the Gram system of a Hall basis one multidegree
+(letter counts) at a time: Hall elements are multihomogeneous and words of
+different multidegrees are orthogonal.  ``is_lie`` asks for a zero shuffle
+part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from ._linalg import frac_rank, frac_solve
 from .ncalg import (
@@ -26,7 +27,6 @@ from .ncalg import (
     is_zero_scalar,
     scalar_add,
     scalar_mul,
-    shuffle_inner,
 )
 
 __all__ = [
@@ -38,7 +38,15 @@ __all__ = [
     "is_lie",
     "decompose",
     "hall_rank",
+    "MAX_HALL_ELEMENTS",
+    "MAX_BLOCK",
 ]
+
+# Most Hall elements up to degree k (_hall_levels) and in one multidegree block
+# (_projection_data), each checked before the work it bounds, so that every
+# accepted hall, decompose, is_lie or is_grouplike call ends in seconds.
+MAX_HALL_ELEMENTS = 5_000
+MAX_BLOCK = 45
 
 
 class LieTree:
@@ -158,6 +166,15 @@ def _hall_levels(alphabet: Alphabet, k: int) -> tuple:
     [u, v] belongs to the set iff u < v and v is either a letter or a
     bracket [v1, v2] with v1 <= u.
     """
+    m, total = len(alphabet), 0
+    for d in range(1, k + 1):
+        total += witt_number(m, d) or 1  # an empty degree still costs a pass
+        if total > MAX_HALL_ELEMENTS:
+            raise ValueError(
+                f"the Hall set on {m} letters up to degree {k} has at least "
+                f"{total} elements (empty degrees count one), over the limit "
+                f"of {MAX_HALL_ELEMENTS}"
+            )
     levels = [tuple(LieTree.leaf(name) for name in alphabet.letters)]
     rank = {t: i for i, t in enumerate(levels[0])}
     for d in range(2, k + 1):
@@ -187,66 +204,67 @@ def hall_basis(alphabet: Alphabet, k: int) -> HallBasis:
 
 
 def is_lie(p: NcPoly) -> bool:
-    """Ree's criterion: each homogeneous part is orthogonal to every
-    shuffle u * v with u, v nonempty.  Cost grows like m^k per part."""
-    if p.is_zero():
-        return True
-    if not is_zero_scalar(p.coeff(())):
-        return False
-    alphabet = p.alphabet
-    for k in p.degrees():
-        if k <= 1:
-            continue
-        part = homogeneous_part(p, k)
-        for r in range(1, k):
-            for u in alphabet.words(r):
-                for v in alphabet.words(k - r):
-                    if not is_zero_scalar(shuffle_inner(part, u, v)):
-                        return False
-    return True
+    """Whether p is a Lie element: every homogeneous part has a zero shuffle
+    part under ``decompose`` (a constant is all shuffle part).  The top degree
+    goes first, so the Hall set's size limit is checked before any work."""
+    parts = (homogeneous_part(p, k) for k in reversed(p.degrees()))
+    return all(decompose(part)[1].is_zero() for part in parts)
 
 
 @lru_cache(maxsize=64)
-def _projection_data(alphabet: Alphabet, k: int) -> tuple:
-    """Hall expansions and the inverse Gram matrix for degree k."""
-    basis = hall_basis(alphabet, k)
-    exps = basis.expansions()
-    n = len(exps)
-    gram = [[inner(exps[i], exps[j]) for j in range(n)] for i in range(n)]
-    # Invert by solving against the identity columns; the Gram matrix of a
-    # linearly independent family under a positive-definite pairing is
-    # invertible.
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(frac_solve(gram, e))
-    inv = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return exps, inv
+def _hall_blocks(alphabet: Alphabet, k: int) -> dict:
+    """The degree-k Hall elements grouped by multidegree."""
+    blocks: dict = {}
+    for t in hall_basis(alphabet, k).elements:
+        leaves = tuple(map(alphabet.index, t.leaves()))
+        md = tuple(map(leaves.count, range(len(alphabet))))
+        blocks[md] = blocks.get(md, ()) + (t,)
+    return blocks
+
+
+@lru_cache(maxsize=128)  # x,y to degree 8 and x,y,z to degree 5 have 94 blocks
+def _projection_data(alphabet: Alphabet, md: tuple) -> tuple:
+    """Hall expansions of multidegree md and the inverse of their Gram
+    matrix, as rows."""
+    elements = _hall_blocks(alphabet, sum(md)).get(md, ())
+    n = len(elements)
+    if n > MAX_BLOCK:
+        raise ValueError(
+            f"multidegree {md} has {n} Hall elements, over the block limit "
+            f"of {MAX_BLOCK}"
+        )
+    exps = tuple(expand(t, alphabet) for t in elements)
+    # The Gram matrix of a linearly independent family under a
+    # positive-definite pairing is symmetric and invertible.
+    gram = [[None] * n for _ in range(n)]
+    for i, a in enumerate(exps):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = inner(a, exps[j])
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return exps, frac_solve(gram, identity)
 
 
 def decompose(p: NcPoly) -> tuple:
     """Split a homogeneous p into (lie, shf) with lie in the Hall span and
-    shf orthogonal to it, via orthogonal projection.  Solving the Gram
-    system is cubic in the Witt number, fine at desk scale."""
+    shf orthogonal to it, via orthogonal projection, one multidegree block
+    at a time.  Solving a block's Gram system is cubic in its number of
+    Hall elements, fine at desk scale."""
     if p.is_zero():
         return p, p
     if not p.is_homogeneous():
         raise ValueError("decompose expects a homogeneous polynomial")
     k = p.max_degree()
-    zero = NcPoly.zero(p.alphabet)
-    if k == 0:
-        return zero, p
-    if k == 1:
-        return p, zero
-    exps, inv = _projection_data(p.alphabet, k)
-    rhs = [inner(e, p) for e in exps]
+    if k <= 1:  # a constant is all shuffle part, a letter sum all Lie part
+        zero = NcPoly.zero(p.alphabet)
+        return (p, zero) if k else (zero, p)
     pairs = []
-    for e, row in zip(exps, inv):
-        c = Fraction(0)
-        for a, b in zip(row, rhs):
-            c = scalar_add(c, scalar_mul(a, b))
-        if not is_zero_scalar(c):
-            pairs.extend((w, scalar_mul(c, d)) for w, d in e.terms.items())
+    for md in sorted({tuple(map(w.count, range(len(p.alphabet)))) for w in p.terms}):
+        exps, inv = _projection_data(p.alphabet, md)
+        rhs = [inner(e, p) for e in exps]
+        for e, row in zip(exps, inv):
+            c = reduce(scalar_add, map(scalar_mul, row, rhs), Fraction(0))
+            if not is_zero_scalar(c):
+                pairs.extend((w, scalar_mul(c, d)) for w, d in e.terms.items())
     lie = collect(p.alphabet, pairs)
     return lie, p - lie
 

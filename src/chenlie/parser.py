@@ -22,16 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, log10
 
 from .freegrp import GroupWord, commutator, gw_inv
 from .liealg import LieTree
 from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
+from .ncalg import _mpoly_terms, _num_den
 
 __all__ = [
     "MAX_NESTING",
     "MAX_GW_LETTERS",
     "MAX_POLY_LETTERS",
+    "MAX_SCALAR_DIGITS",
     "ParseError",
     "parse",
     "parse_poly",
@@ -64,6 +66,12 @@ MAX_GW_LETTERS = 100_000
 # words, so a short expression such as (x+y)^40 could ask for more words
 # than memory holds; build_poly checks this bound on the syntax tree.
 MAX_POLY_LETTERS = 1_000_000
+
+# Most decimal digits a power may reach in any integer of its coefficients'
+# numerators and denominators: the printers' limit, Python's default for
+# converting an int to text.  build_poly estimates the digits before it
+# raises anything to a power, so 2^1000000000 never builds its 10^9 bits.
+MAX_SCALAR_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -498,6 +506,27 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
     return t, d, md
 
 
+def _check_power(p: NcPoly, e: int):
+    """Refuse p^e if an integer in its coefficients could pass
+    MAX_SCALAR_DIGITS digits.  Each coefficient's numerator and denominator
+    is (1/L) sum a_i m_i with integers a_i; the integers of p^e stay below
+    H^e, H summing max(L, sum |a_i|) over p's coefficients."""
+    height = 0
+    for c in p.terms.values():
+        h = 1
+        for part in _num_den(c):
+            fs = _mpoly_terms(part).values()
+            den = lcm(*(f.denominator for f in fs))
+            h = max(h, den, sum(abs(f.numerator) * den // f.denominator for f in fs))
+        height += h
+    digits = int(abs(e) * log10(max(height, 1))) + 1
+    if digits > MAX_SCALAR_DIGITS:
+        raise ValueError(
+            f"power could reach {digits} digits in a coefficient, over the "
+            f"limit of {MAX_SCALAR_DIGITS}"
+        )
+
+
 def build_poly(node, alphabet: Alphabet) -> NcPoly:
     """Evaluate a poly syntax tree.  Identifiers outside the alphabet are
     scalar indeterminates and ride along as degree-0 polynomials, so
@@ -513,6 +542,7 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
             return NcPoly.one(alphabet).scale(var(n.name))
         if isinstance(n, PPow):
             base = ev(n.base)
+            _check_power(base, n.exponent)
             if base.max_degree() <= 0:
                 c = scalar_pow(base.coeff(()), n.exponent)
                 return NcPoly.one(alphabet).scale(c)

@@ -9,7 +9,7 @@ import pytest
 
 from chenlie.liealg import LieTree, expand, hall_basis
 from chenlie.freegrp import GroupWord, commutator
-from chenlie.ncalg import Alphabet, NcPoly
+from chenlie.ncalg import TVAR, Alphabet, NcPoly, scalar_add, scalar_div, scalar_mul, var
 
 XY = Alphabet(("x", "y"))
 XYZ = Alphabet(("x", "y", "z"))
@@ -49,6 +49,32 @@ def random_lie_poly(rng: random.Random, alphabet: Alphabet, k: int) -> NcPoly:
     p = NcPoly.zero(alphabet)
     for tree in hall_basis(alphabet, k).elements:
         p = p + expand(tree, alphabet).scale(random_fraction(rng))
+    return p
+
+
+SCALAR_KINDS = ("fraction", "mpoly", "ratfunc")
+
+
+def random_scalar(rng: random.Random, kind: str):
+    """A nonzero Fraction, MPoly in a and t, or RatFunc over t + 1."""
+    f = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    if kind == "fraction":
+        return f
+    p = scalar_add(scalar_mul(var("a"), f), rng.choice([0, 1, var(TVAR)]))
+    if kind == "mpoly":
+        return p
+    return scalar_div(p, scalar_add(var(TVAR), 1))
+
+
+def random_lie_element(rng: random.Random, alphabet: Alphabet, degrees,
+                       kind: str = "fraction", per_degree: int = 3) -> NcPoly:
+    """Sum over the given degrees of up to per_degree Hall expansions with
+    random coefficients of the given kind."""
+    p = NcPoly.zero(alphabet)
+    for k in degrees:
+        trees = hall_basis(alphabet, k).elements
+        for tree in rng.sample(trees, min(per_degree, len(trees))):
+            p = p + expand(tree, alphabet).scale(random_scalar(rng, kind))
     return p
 
 

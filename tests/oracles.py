@@ -1,0 +1,97 @@
+"""Slow reference implementations that the tests compare the library
+against.
+
+* ``is_lie_ree`` is Ree's criterion swept over every pair of words: each
+  homogeneous part is orthogonal to every shuffle u * v with u, v
+  nonempty.  ``liealg.is_lie`` asks the orthogonal projection instead.
+* ``is_grouplike_sweep`` checks the shuffle relations of a series pair by
+  pair.  ``chenint.is_grouplike`` asks whether the logarithm is Lie.
+* ``modp_rank`` is a rank over GF(p), p = 2^31 - 1: an exact lower bound
+  on the rank over Q, since any nonzero minor mod p is a nonzero minor
+  over Q.  Combined with an upper bound (spanning-set size, or
+  orthogonal-complement dimension) it certifies exact dimensions without
+  big-rational elimination on large matrices.
+"""
+
+from fractions import Fraction
+
+from chenlie.ncalg import (
+    NcPoly,
+    homogeneous_part,
+    is_zero_scalar,
+    scalar_mul,
+    shuffle_inner,
+)
+
+MERSENNE31 = 2**31 - 1
+
+
+def is_lie_ree(p: NcPoly) -> bool:
+    """Ree's criterion: each homogeneous part is orthogonal to every
+    shuffle u * v with u, v nonempty.  Cost grows like m^k per part."""
+    if p.is_zero():
+        return True
+    if not is_zero_scalar(p.coeff(())):
+        return False
+    alphabet = p.alphabet
+    for k in p.degrees():
+        if k <= 1:
+            continue
+        part = homogeneous_part(p, k)
+        for r in range(1, k):
+            for u in alphabet.words(r):
+                for v in alphabet.words(k - r):
+                    if not is_zero_scalar(shuffle_inner(part, u, v)):
+                        return False
+    return True
+
+
+def is_grouplike_sweep(s) -> bool:
+    """Shuffle relations: <s,u><s,v> = <s, u*v> for all nonempty word pairs
+    with |u|+|v| <= degree.  Equivalently, ts_log(s) is a Lie series."""
+    if s.poly.coeff(()) != 1:
+        return False
+    alphabet = s.poly.alphabet
+    n = s.degree
+    for r in range(1, n):
+        for u in alphabet.words(r):
+            cu = s.poly.coeff(u)
+            for ls in range(1, n - r + 1):
+                for v in alphabet.words(ls):
+                    if scalar_mul(cu, s.poly.coeff(v)) != shuffle_inner(s.poly, u, v):
+                        return False
+    return True
+
+
+def modp_rank(rows, p: int = MERSENNE31) -> int:
+    """Rank over GF(p).  Rows are integers or Fractions with p-unit
+    denominators (always the case for denominators far below p).
+
+    Sparse echelon form: each row becomes a dict column -> nonzero residue
+    and is reduced at its lowest column against the pivot row kept for that
+    column, until it is zero or starts at a new pivot column."""
+    pivots: dict = {}  # lowest column -> row scaled to 1 there
+    for row in rows:
+        vec = {}
+        for j, x in enumerate(row):
+            if isinstance(x, Fraction):
+                r = x.numerator * pow(x.denominator, -1, p) % p
+            else:
+                r = int(x) % p
+            if r:
+                vec[j] = r
+        while vec:
+            col = min(vec)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = {j: r * inv % p for j, r in vec.items()}
+                break
+            f = vec[col]
+            for j, r in pivot.items():
+                r = (vec.get(j, 0) - f * r) % p
+                if r:
+                    vec[j] = r
+                else:
+                    vec.pop(j, None)
+    return len(pivots)

@@ -37,12 +37,17 @@ from chenlie.ncalg import (
 )
 
 from conftest import (
+    SCALAR_KINDS,
     XY,
+    XYZ,
     random_groupword,
     random_homogeneous,
+    random_lie_element,
     random_lie_poly,
+    random_scalar,
     tree_to_gw,
 )
+from oracles import is_grouplike_sweep
 
 X = NcPoly.letter(XY, 0)
 Y = NcPoly.letter(XY, 1)
@@ -118,6 +123,24 @@ def test_magnus_series_is_grouplike(r):
 def test_exp_of_lie_is_grouplike(rng):
     p = random_lie_poly(rng, XY, 2) + random_lie_poly(rng, XY, 3)
     assert is_grouplike(ts_exp(TruncSeries(4, p)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([XY, XYZ]),
+       st.sampled_from(SCALAR_KINDS), st.sampled_from(["exp", "perturbed", "scaled"]))
+def test_is_grouplike_matches_the_shuffle_sweep(r, ab, kind, shape):
+    """Exponentials of Lie elements, and the same series with one more
+    word or with constant term 2."""
+    n = r.randint(2, 4)
+    s = ts_exp(TruncSeries(n, random_lie_element(r, ab, range(1, n + 1), kind, 2)))
+    if shape == "perturbed":
+        word = tuple(r.randrange(len(ab)) for _ in range(r.randint(1, n)))
+        s = TruncSeries(n, s.poly + NcPoly.from_word(ab, word, random_scalar(r, kind)))
+    elif shape == "scaled":
+        s = TruncSeries(n, s.poly.scale(2))
+    assert is_grouplike(s) == is_grouplike_sweep(s)
+    if shape == "exp":
+        assert is_grouplike(s)
 
 
 # ---------------------------------------------------------------- models

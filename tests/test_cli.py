@@ -4,6 +4,7 @@ exit codes, stdin input, and the JSON model/connection/table loaders."""
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +204,31 @@ def test_oversized_polynomials_are_a_one_line_error(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "1000000" in err
     assert ok(capsys, "expand", "x^100000") == "x^100000\n"
+
+
+def test_oversized_powers_are_a_one_line_error(capsys):
+    for text in ("2^20000", "(2*a)^20000", "2^1000000000"):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "expand", text)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "digits" in err and "4300" in err
+    q = Fraction(2, 3) ** 5000
+    assert ok(capsys, "expand", "(2/3)^5000 x") == f"{q.numerator}*x/{q.denominator}\n"
+
+
+def test_oversized_lie_requests_are_a_one_line_error(capsys):
+    """Refused before any Hall tree (the first four) or Gram block (the
+    last, multidegree (6, 6) with 75 Hall elements) is built."""
+    for argv in (("islie", "x^15*y^15"), ("islie", "x^29*y"), ("project", "x^29*y"),
+                 ("hall", "-k", "40"), ("project", "x^6*y^6")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "over the" in err
 
 
 def test_zero_weight_denominator_is_named(capsys):

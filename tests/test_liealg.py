@@ -7,8 +7,13 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlie.chenint import canonical_model
 from chenlie.liealg import (
+    MAX_BLOCK,
+    MAX_HALL_ELEMENTS,
     LieTree,
+    _hall_blocks,
+    _projection_data,
     decompose,
     expand,
     hall_basis,
@@ -19,7 +24,17 @@ from chenlie.liealg import (
 from chenlie.ncalg import Alphabet, NcPoly, concat_mul, inner, shuffle
 from chenlie.parser import parse_lie
 
-from conftest import XY, XYZ, random_homogeneous, random_lie_poly, random_lietree
+from conftest import (
+    SCALAR_KINDS,
+    XY,
+    XYZ,
+    random_homogeneous,
+    random_lie_element,
+    random_lie_poly,
+    random_lietree,
+    random_scalar,
+)
+from oracles import is_lie_ree
 
 WITT_M2 = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}
 
@@ -165,6 +180,25 @@ def test_is_lie_random_combinations(r, k):
         assert not is_lie(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([XY, XYZ]),
+       st.sampled_from(SCALAR_KINDS), st.booleans(), st.booleans())
+def test_is_lie_matches_the_ree_sweep(r, ab, kind, stray, constant):
+    """Hall combinations over one to three degrees up to 6, with or without
+    a stray word in each degree and a constant term."""
+    degrees = r.sample(range(1, 7), r.randint(1, 3))
+    p = random_lie_element(r, ab, degrees, kind)
+    if stray:
+        for k in degrees:
+            word = tuple(r.randrange(len(ab)) for _ in range(k))
+            p = p + NcPoly.from_word(ab, word, random_scalar(r, kind))
+    if constant:
+        p = p + NcPoly.one(ab).scale(random_scalar(r, kind))
+    assert is_lie(p) == is_lie_ree(p)
+    if not stray and not constant:
+        assert is_lie(p)
+
+
 # ------------------------------------------------------------ decomposition
 
 def test_decompose_xy():
@@ -201,6 +235,43 @@ def test_decompose_properties(r, k):
     # idempotence
     assert decompose(lie) == (lie, NcPoly.zero(XY))
     assert decompose(shf) == (NcPoly.zero(XY), shf)
+
+
+def test_projection_is_cached_per_multidegree_block():
+    """Exact cache counts: one Gram block per multidegree, shared by every
+    polynomial of that multidegree, and none for degree-1 parts."""
+    _projection_data.cache_clear()
+    p = NcPoly.from_word(XYZ, (0, 1, 2, 0, 1))  # x y z x y, multidegree (2, 2, 1)
+    decompose(p)
+    assert _projection_data.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert len(_hall_blocks(XYZ, 5)[(2, 2, 1)]) == 6
+    decompose(NcPoly.from_word(XYZ, (2, 1, 1, 0, 0), 3))  # z y y x x
+    assert _projection_data.cache_info()[:2] == (1, 1)
+
+    _projection_data.cache_clear()
+    assert is_lie(expand(hall_basis(XY, 8).elements[-1], XY))
+    assert _projection_data.cache_info().misses == 1
+
+    _projection_data.cache_clear()
+    canonical_model(XYZ, 8)  # the log of exp(x) is x
+    assert _projection_data.cache_info().misses == 0
+
+
+def test_lie_layer_size_limits():
+    assert len(hall_basis(XY, 15).elements) == witt_number(2, 15)
+    with pytest.raises(ValueError) as exc:
+        hall_basis(XY, 16)  # 8800 elements up to degree 16
+    assert "8800" in str(exc.value) and str(MAX_HALL_ELEMENTS) in str(exc.value)
+    with pytest.raises(ValueError):  # one letter: 1 element, but 10^9 degrees
+        hall_basis(Alphabet(("x",)), 10 ** 9)
+    assert len(_hall_blocks(XY, 12)[(6, 6)]) == 75
+    x6y6 = NcPoly.from_word(XY, (0,) * 6 + (1,) * 6)
+    with pytest.raises(ValueError) as exc:
+        decompose(x6y6)
+    assert "75" in str(exc.value) and str(MAX_BLOCK) in str(exc.value)
+    with pytest.raises(ValueError) as exc:  # the top degree is checked first
+        is_lie(x6y6 + NcPoly.from_word(XY, (0,) * 39 + (1,)))
+    assert "degree 40" in str(exc.value) and str(MAX_HALL_ELEMENTS) in str(exc.value)
 
 
 def test_rank_identity_small():

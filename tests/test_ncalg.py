@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from chenlie import ncalg
 from chenlie.chenint import TruncSeries, ts_mul
-from chenlie.liealg import is_lie
 from chenlie.melnikov import Connection, derive
 from chenlie.ncalg import (
     Alphabet,
@@ -38,6 +37,7 @@ from chenlie.ncalg import (
     word_str,
 )
 from conftest import random_lie_poly
+from oracles import is_lie_ree
 
 XY = Alphabet(("x", "y"))
 
@@ -550,14 +550,14 @@ def test_scalar_pow_by_squaring_matches_repeated_products():
 def test_shuffle_cache_stays_within_its_bound(monkeypatch):
     p = random_lie_poly(random.Random(5), XY, 6)
     monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE", {})
-    assert is_lie(p)
+    assert is_lie_ree(p)
     unbounded = len(ncalg._SHUFFLE_CACHE)
     bound = 64
     assert unbounded > bound  # the sweep would pass the bound
     monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE", {})
     monkeypatch.setattr(ncalg, "_SHUFFLE_CACHE_MAX", bound)
-    assert is_lie(p)
+    assert is_lie_ree(p)
     assert 0 < len(ncalg._SHUFFLE_CACHE) <= bound
-    assert not is_lie(p + concat_mul(NcPoly.letter(XY, 0), p))
+    assert not is_lie_ree(p + concat_mul(NcPoly.letter(XY, 0), p))
     assert len(ncalg._SHUFFLE_CACHE) <= bound
     assert shuffle_words((0, 1), (1,)) == {(0, 1, 1): 2, (1, 0, 1): 1}

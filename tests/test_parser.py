@@ -24,6 +24,7 @@ from chenlie.parser import (
     MAX_GW_LETTERS,
     MAX_NESTING,
     MAX_POLY_LETTERS,
+    MAX_SCALAR_DIGITS,
     ParseError,
     parse,
     parse_gw,
@@ -217,6 +218,29 @@ def test_polynomial_letter_cap():
             parse_poly(text, alphabet=XY)
         assert str(letters) in str(exc.value)
         assert str(MAX_POLY_LETTERS) in str(exc.value)
+
+
+def test_power_digit_cap():
+    """Powers are refused before they are built when an integer in a
+    coefficient could pass the printers' digit limit; the estimate is
+    exact for a power of ten."""
+    assert parse_poly("10^4299", alphabet=XY) == NcPoly.one(XY).scale(10 ** 4299)
+    assert parse_poly("(2/3)^5000 x", alphabet=XY) == NcPoly.letter(XY, 0).scale(
+        Fraction(2, 3) ** 5000)
+    assert parse_poly("(t+1)^10 x^100", alphabet=XY).max_degree() == 100
+    refused = (
+        ("10^4300", 4301),
+        ("2^20000", 6021),
+        ("(-1/2)^20000", 6021),  # a denominator counts as a numerator does
+        ("(2*x)^20000", 6021),  # a letter in the base changes nothing
+        ("(3/2*a)^10000", 4772),  # the larger of numerator and denominator
+        ("2^1000000000", 301029996),
+    )
+    for text, digits in refused:
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text, alphabet=XY)
+        assert str(digits) in str(exc.value)
+        assert str(MAX_SCALAR_DIGITS) in str(exc.value)
 
 
 def test_trailing_input_rejected():
