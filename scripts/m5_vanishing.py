@@ -38,7 +38,7 @@ def main() -> int:
     print(f"reduced length {len(gamma)}, lcs degree {lcs_degree(gamma)}")
 
     lead = phi_inverse(gamma)
-    terms = list(lead.items())
+    terms = sorted(lead.items())  # by word, the order the printers use
     print(f"\nleading Lie element has {len(terms)} words; first "
           f"{min(args.show_terms, len(terms))}:")
     for w, c in terms[:args.show_terms]:

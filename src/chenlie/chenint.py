@@ -37,7 +37,6 @@ from .ncalg import (
     Scalar,
     Word,
     collect,
-    homogeneous_part,
     is_zero_scalar,
     scalar_add,
     scalar_mul,
@@ -167,8 +166,22 @@ def ts_inv(s, degree: int = None) -> TruncSeries:
 def is_grouplike(s: TruncSeries) -> bool:
     """Whether s is group-like: constant term 1 and a Lie logarithm, by
     Ree's theorem; equivalently <s,u><s,v> = <s, u*v> for all nonempty
-    word pairs with |u|+|v| <= degree."""
-    return s.poly.coeff(()) == 1 and is_lie(ts_log(s).poly)
+    word pairs with |u|+|v| <= degree.
+
+    When every word of s is a power of one letter X, s lies in the
+    commutative sub-Hopf algebra of series in X, whose group-like elements
+    are exactly exp(c X); so s is group-like iff <s, X^j> = c^j / j! for
+    every j <= degree, with c = <s, X>."""
+    letters = {a for w in s.poly.terms for a in w}
+    if len(letters) > 1:
+        return s.poly.coeff(()) == 1 and is_lie(ts_log(s).poly)
+    x = letters.pop() if letters else 0
+    c, power = s.poly.coeff((x,)), Fraction(1)
+    for j in range(s.degree + 1):
+        if not is_zero_scalar(scalar_add(s.poly.coeff((x,) * j), scalar_neg(power))):
+            return False
+        power = scalar_mul(power, scalar_mul(c, Fraction(1, j + 1)))
+    return True
 
 
 @dataclass(frozen=True)
@@ -339,15 +352,16 @@ def pair_graded(table: PairingTable, delta, omega: Word) -> Scalar:
         raise ValueError("path word alphabet does not match the table")
     if k == 0:
         return Fraction(1)
-    series = freegrp.magnus(delta, k)
-    for j in range(1, k):
-        if not homogeneous_part(series.poly, j).is_zero():
-            raise ValueError(
-                f"path word has a nonzero part in degree {j} < word length {k}"
-            )
-    lead = homogeneous_part(series.poly, k)
+    lead = freegrp.leading_term(delta, k)
+    if lead is None:
+        return Fraction(0)
+    j, part = lead
+    if j < k:
+        raise ValueError(
+            f"path word has a nonzero part in degree {j} < word length {k}"
+        )
     total: Scalar = Fraction(0)
-    for w, a in lead.items():
+    for w, a in part.items():
         prod: Scalar = a
         for s in range(k):
             prod = scalar_mul(prod, table.entries[w[s]][word[s]])

@@ -1,12 +1,26 @@
-"""Free-group words, the truncated Magnus expansion, and the graded
-isomorphism onto the free Lie algebra.
+"""Free-group words, their Magnus expansions, and the graded isomorphism
+onto the free Lie algebra.
 
-A group word maps multiplicatively into the truncated tensor algebra by
-letter -> exp(letter), inverse letter -> exp(-letter).  For a word in the
-k-th lower central subgroup the expansion is 1 + (degree-k Lie element) +
-higher terms; the degree-k part is the image of the word's class under the
-inverse of the graded isomorphism phi, and every iterated integral of a
-degree-k form word along the loop is the inner product against it.
+Two expansions map a group word multiplicatively into the truncated tensor
+algebra.  ``magnus`` sends letter -> exp(letter) and inverse letter ->
+exp(-letter), over Fractions.  ``leading_term`` uses the Fox expansion,
+letter x_i -> 1 + X_i and inverse letter -> 1 - X_i + X_i^2 - ..., over
+plain ints: appending a letter shifts the series by one letter, and an
+inverse letter solves t = s - t X_i one degree at a time, so no two dense
+series are ever multiplied.  The substitution phi(X_i) = e^{X_i} - 1 carries
+the Fox expansion to the exp one and is the identity on the associated
+graded, so both give the same lowest nonzero degree k and the same degree-k
+part.  For a word in the k-th lower central subgroup that part is the Lie
+element of the word's class in gr^k of the free group (the Magnus embedding
+and the dimension subgroups of free groups, as in Magnus, Karrass and
+Solitar, ch. 5), and every iterated integral of a degree-k form word along
+the loop is the inner product against it.
+
+``leading_term`` deepens the truncation n = 1, 2, ... and stops at the first
+nonzero part.  It stops by degree len(delta) at the latest: in a reduced
+word with syllables x_{i_1}^{a_1} ... x_{i_r}^{a_r} (adjacent letters
+distinct), only one choice of terms gives the degree-r word
+X_{i_1} ... X_{i_r}, and its coefficient is a_1 ... a_r, not 0.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chenint import TruncSeries, ts_mul
-from .ncalg import Alphabet, NcPoly, homogeneous_part
+from .ncalg import Alphabet, NcPoly
 
 __all__ = [
     "GroupWord",
@@ -23,11 +37,23 @@ __all__ = [
     "gw_inv",
     "commutator",
     "magnus",
+    "leading_term",
     "lcs_degree",
     "phi_inverse",
+    "MAX_MAGNUS_WORK",
 ]
 
 DEFAULT_LCS_BOUND = 8
+
+# Most letter-steps one truncated expansion may take: the word's length times
+# the number of words of length <= n over its letters, a bound on the terms
+# each letter visits.  magnus and each degree leading_term deepens to check
+# it first, so a long word or a large -N is refused instead of running for
+# minutes.  The limit admits lcs -N 9 of the depth-8 nested commutator
+# (538 098 steps, 0.1 s); at the limit magnus takes 4-7 s on two or three
+# letters and 13 s on one, whose coefficients grow (2-CPU container,
+# Python 3.11).
+MAX_MAGNUS_WORK = 600_000
 
 
 def _reduce(entries):
@@ -116,11 +142,25 @@ def _exp_letter(alphabet: Alphabet, i: int, sign: int, n: int) -> TruncSeries:
     return TruncSeries(n, NcPoly(alphabet, terms))
 
 
+def _check_work(delta: GroupWord, n: int):
+    """Refuse an expansion of delta to degree n past MAX_MAGNUS_WORK."""
+    m = len({i for i, _ in delta.entries})
+    # past 2^64 words any nonempty word is over the limit
+    words = n + 1 if m <= 1 else (m ** (min(n, 64) + 1) - 1) // (m - 1)
+    work = len(delta) * words
+    if work > MAX_MAGNUS_WORK:
+        raise ValueError(
+            f"expanding a {len(delta)}-letter group word to degree {n} could "
+            f"take {work} steps, over the limit of {MAX_MAGNUS_WORK}"
+        )
+
+
 def magnus(delta: GroupWord, n: int) -> TruncSeries:
     """Multiplicative image of delta under letter -> exp(+-letter), all
     products truncated beyond degree n."""
     if n < 1:
         raise ValueError("truncation degree must be >= 1")
+    _check_work(delta, n)
     out = TruncSeries.one(delta.alphabet, n)
     cache: dict = {}
     for i, e in delta.entries:
@@ -131,9 +171,37 @@ def magnus(delta: GroupWord, n: int) -> TruncSeries:
     return out
 
 
-def _leading_degree(series: TruncSeries):
-    """Lowest degree >= 1 with a nonzero part; None when there is none."""
-    return min((len(w) for w in series.poly.terms if w), default=None)
+def _fox_top(delta: GroupWord, n: int) -> dict:
+    """The degree-n part of the Fox expansion of delta truncated at n, as
+    word -> nonzero int.  levels[d] holds the degree-d part of the
+    product so far.  A letter x_i maps s to s + s X_i, filled from the top
+    degree down so each level reads the old one below it; an inverse
+    letter maps s to the t with t + t X_i = s, filled from the bottom up
+    so each level reads the new one below it."""
+    levels = [{(): 1}] + [{} for _ in range(n)]
+    for i, e in delta.entries:
+        a = (i,)
+        for d in range(n - 1, -1, -1) if e == 1 else range(n):
+            up = levels[d + 1]
+            for w, c in levels[d].items():
+                if c:
+                    v = w + a
+                    up[v] = up.get(v, 0) + e * c
+    return {w: c for w, c in levels[n].items() if c}
+
+
+def leading_term(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
+    """(k, degree-k part) for the lowest k <= n_max at which delta's Magnus
+    expansion has a nonzero part, with integer coefficients; None when
+    every part up to n_max vanishes (in particular for the identity)."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    for n in range(1, min(n_max, len(delta)) + 1):
+        _check_work(delta, n)
+        top = _fox_top(delta, n)
+        if top:
+            return n, NcPoly(delta.alphabet, top)
+    return None
 
 
 def lcs_degree(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
@@ -141,24 +209,18 @@ def lcs_degree(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
     expansion; None when every part up to n_max vanishes (in particular for
     the identity word).  This is the lower-central-series depth of the
     word's class whenever that depth is <= n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if delta.is_identity():
-        return None
-    return _leading_degree(magnus(delta, n_max))
+    lead = leading_term(delta, n_max)
+    return None if lead is None else lead[0]
 
 
 def phi_inverse(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND) -> NcPoly:
     """The leading homogeneous part of the Magnus expansion: the Lie
-    element representing delta's class in gr^k of the free group.  One
-    Magnus series to degree n_max gives both k and the part, since
-    truncation above k leaves the degree-k part unchanged."""
+    element representing delta's class in gr^k of the free group."""
     if delta.is_identity():
         raise ValueError("the identity word has no leading Lie element")
-    series = magnus(delta, n_max)
-    k = _leading_degree(series)
-    if k is None:
+    lead = leading_term(delta, n_max)
+    if lead is None:
         raise ValueError(
             f"no nonzero homogeneous part up to degree {n_max}; raise n_max"
         )
-    return homogeneous_part(series.poly, k)
+    return lead[1]

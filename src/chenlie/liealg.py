@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 # Most Hall elements up to degree k (_hall_levels) and in one multidegree block
-# (_projection_data), each checked before the work it bounds, so that every
-# accepted hall, decompose, is_lie or is_grouplike call ends in seconds.
+# (decompose checks every block of its input before the first Gram matrix),
+# each checked before the work it bounds, so that every accepted hall,
+# decompose, is_lie or is_grouplike call ends in seconds.
 MAX_HALL_ELEMENTS = 5_000
 MAX_BLOCK = 45
 
@@ -228,11 +229,6 @@ def _projection_data(alphabet: Alphabet, md: tuple) -> tuple:
     matrix, as rows."""
     elements = _hall_blocks(alphabet, sum(md)).get(md, ())
     n = len(elements)
-    if n > MAX_BLOCK:
-        raise ValueError(
-            f"multidegree {md} has {n} Hall elements, over the block limit "
-            f"of {MAX_BLOCK}"
-        )
     exps = tuple(expand(t, alphabet) for t in elements)
     # The Gram matrix of a linearly independent family under a
     # positive-definite pairing is symmetric and invertible.
@@ -257,8 +253,17 @@ def decompose(p: NcPoly) -> tuple:
     if k <= 1:  # a constant is all shuffle part, a letter sum all Lie part
         zero = NcPoly.zero(p.alphabet)
         return (p, zero) if k else (zero, p)
+    mds = sorted({tuple(map(w.count, range(len(p.alphabet)))) for w in p.terms})
+    blocks = _hall_blocks(p.alphabet, k)
+    for md in mds:  # every block is checked before the first Gram matrix
+        n = len(blocks.get(md, ()))
+        if n > MAX_BLOCK:
+            raise ValueError(
+                f"multidegree {md} has {n} Hall elements, over the block "
+                f"limit of {MAX_BLOCK}"
+            )
     pairs = []
-    for md in sorted({tuple(map(w.count, range(len(p.alphabet)))) for w in p.terms}):
+    for md in mds:
         exps, inv = _projection_data(p.alphabet, md)
         rhs = [inner(e, p) for e in exps]
         for e, row in zip(exps, inv):

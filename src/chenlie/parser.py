@@ -506,11 +506,11 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
     return t, d, md
 
 
-def _check_power(p: NcPoly, e: int):
-    """Refuse p^e if an integer in its coefficients could pass
-    MAX_SCALAR_DIGITS digits.  Each coefficient's numerator and denominator
-    is (1/L) sum a_i m_i with integers a_i; the integers of p^e stay below
-    H^e, H summing max(L, sum |a_i|) over p's coefficients."""
+def _height(p: NcPoly) -> int:
+    """A height H of p: the integers of p^e stay below H^e, and those of a
+    product below the product of its factors' H.  Each coefficient's
+    numerator and denominator is (1/L) sum a_i m_i with integers a_i; H sums
+    max(L, sum |a_i|) over p's coefficients."""
     height = 0
     for c in p.terms.values():
         h = 1
@@ -519,10 +519,16 @@ def _check_power(p: NcPoly, e: int):
             den = lcm(*(f.denominator for f in fs))
             h = max(h, den, sum(abs(f.numerator) * den // f.denominator for f in fs))
         height += h
-    digits = int(abs(e) * log10(max(height, 1))) + 1
+    return max(height, 1)
+
+
+def _check_digits(what: str, log_height: float):
+    """Refuse a power or product whose coefficients' integers could pass
+    MAX_SCALAR_DIGITS digits, from the log10 of their height bound."""
+    digits = int(log_height) + 1
     if digits > MAX_SCALAR_DIGITS:
         raise ValueError(
-            f"power could reach {digits} digits in a coefficient, over the "
+            f"{what} could reach {digits} digits in a coefficient, over the "
             f"limit of {MAX_SCALAR_DIGITS}"
         )
 
@@ -542,7 +548,7 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
             return NcPoly.one(alphabet).scale(var(n.name))
         if isinstance(n, PPow):
             base = ev(n.base)
-            _check_power(base, n.exponent)
+            _check_digits("power", abs(n.exponent) * log10(_height(base)))
             if base.max_degree() <= 0:
                 c = scalar_pow(base.coeff(()), n.exponent)
                 return NcPoly.one(alphabet).scale(c)
@@ -557,9 +563,11 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
                     base = base * base
             return out
         if isinstance(n, PProd):
+            factors = [ev(f) for f in n.factors]
+            _check_digits("product", sum(log10(_height(f)) for f in factors))
             out = NcPoly.one(alphabet)
-            for f in n.factors:
-                out = out * ev(f)
+            for f in factors:
+                out = out * f
             return out
         if isinstance(n, PDiv):
             num = ev(n.num)

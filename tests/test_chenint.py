@@ -143,6 +143,32 @@ def test_is_grouplike_matches_the_shuffle_sweep(r, ab, kind, shape):
         assert is_grouplike(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from(SCALAR_KINDS),
+       st.sampled_from(["exp", "zero", "perturbed", "scaled"]))
+def test_one_letter_grouplike_closed_form_matches_the_sweep(r, kind, shape):
+    """Series in one letter: exp(c X) and the same with one word X^j
+    (j = 0 included) changed, or scaled to constant term 2."""
+    n, i = r.randint(1, 6), r.randrange(2)
+    c = Fraction(0) if shape == "zero" else random_scalar(r, kind)
+    s = ts_exp(TruncSeries(n, NcPoly.letter(XY, i).scale(c)))
+    if shape == "perturbed":
+        word = (i,) * r.randint(0, n)
+        s = TruncSeries(n, s.poly + NcPoly.from_word(XY, word, random_scalar(r, kind)))
+    elif shape == "scaled":
+        s = TruncSeries(n, s.poly.scale(2))
+    assert is_grouplike(s) == is_grouplike_sweep(s)
+    if shape != "perturbed":  # X^1 changed at n = 1 is still group-like
+        assert is_grouplike(s) == (shape != "scaled")
+
+
+def test_one_letter_grouplike_of_high_degree():
+    s = ts_exp(TruncSeries(200, X))
+    assert is_grouplike(s)
+    for j in (0, 2, 200):  # the constant term, a middle and the top degree
+        assert not is_grouplike(TruncSeries(200, s.poly + NcPoly.from_word(XY, (0,) * j)))
+
+
 # ---------------------------------------------------------------- models
 
 def test_canonical_model_values():

@@ -5,6 +5,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -195,6 +196,39 @@ def test_oversized_group_words_are_a_one_line_error(capsys):
         assert "100000" in err
 
 
+def _nested_commutator(depth):
+    text = "y"
+    for _ in range(depth):
+        text = f"(x,{text})"
+    return text
+
+
+def test_long_expansions_are_a_one_line_error(capsys):
+    # 32794 letters at the default bound 8; 138 letters to degree 12
+    for argv in (["lcs", _nested_commutator(14)],
+                 ["magnus", "-N", "12", _nested_commutator(6)]):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "over the limit of 600000" in err
+
+
+def test_lcs_of_a_deep_commutator(capsys):
+    # 526 letters, lcs degree 9
+    start = time.perf_counter()
+    assert ok(capsys, "lcs", "-N", "9", _nested_commutator(8)) == "9\n"
+    assert time.perf_counter() - start < 1
+    assert ok(capsys, "lcs", _nested_commutator(8)) == "exceeds 8\n"
+
+
+def test_one_letter_canonical_model_of_high_degree(capsys):
+    start = time.perf_counter()
+    assert ok(capsys, "eval", "x", "x^200") == f"1/{factorial(200)}\n"
+    assert time.perf_counter() - start < 5
+
+
 def test_oversized_polynomials_are_a_one_line_error(capsys):
     for text in ("x^1000000000", "(x+y)^40"):
         start = time.perf_counter()
@@ -216,6 +250,14 @@ def test_oversized_powers_are_a_one_line_error(capsys):
         assert "digits" in err and "4300" in err
     q = Fraction(2, 3) ** 5000
     assert ok(capsys, "expand", "(2/3)^5000 x") == f"{q.numerator}*x/{q.denominator}\n"
+
+
+def test_oversized_products_are_a_one_line_error(capsys):
+    code, out, err = invoke(capsys, "expand", "2^4000*2^4000*2^4000*2^4000")
+    assert code == 1 and out == ""
+    assert err == ("error: product could reach 4817 digits in a coefficient, "
+                   "over the limit of 4300\n")
+    assert ok(capsys, "expand", "2^4000*2^4000*2^4000") == f"{2 ** 12000}\n"
 
 
 def test_oversized_lie_requests_are_a_one_line_error(capsys):

@@ -1,16 +1,20 @@
 """Free group words: reduction, the Magnus expansion, lower-central-series
-degree, and the leading-Lie-element map."""
+degree, the leading-Lie-element map, and the integer leading-term layer
+against the exp-Magnus series."""
+
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chenlie.chenint import is_grouplike, ts_mul, ts_inv
+from chenlie.chenint import PairingTable, is_grouplike, pair_graded, ts_mul, ts_inv
 from chenlie.freegrp import (
     GroupWord,
     commutator,
     gw_inv,
     gw_mul,
     lcs_degree,
+    leading_term,
     magnus,
     phi_inverse,
 )
@@ -18,7 +22,7 @@ from chenlie.liealg import expand, is_lie
 from chenlie.ncalg import NcPoly, homogeneous_part
 from chenlie.parser import parse_gw, parse_lie
 
-from conftest import XY, random_groupword, random_lietree, tree_to_gw
+from conftest import XY, XYZ, random_groupword, random_lietree, tree_to_gw
 
 A = GroupWord.generator(XY, 0)
 B = GroupWord.generator(XY, 1)
@@ -160,18 +164,116 @@ def test_phi_inverse_lands_in_lie_algebra(r):
         assert is_lie(phi_inverse(delta))
 
 
-def test_phi_inverse_builds_one_magnus_series(monkeypatch):
+def test_leading_terms_need_no_magnus_series(monkeypatch):
+    """lcs_degree, phi_inverse and pair_graded read the integer Fox layer:
+    with the exp-Magnus series patched to raise they give the same answers."""
     from chenlie import freegrp
-    calls = []
 
-    def counting(delta, n):
-        calls.append(n)
-        return magnus(delta, n)
+    def refuse(delta, n):
+        raise AssertionError("magnus called")
 
-    monkeypatch.setattr(freegrp, "magnus", counting)
+    monkeypatch.setattr(freegrp, "magnus", refuse)
     delta = commutator(commutator(A, B), B)
-    assert phi_inverse(delta) == expand(parse_lie("[[x,y],y]"), XY)
-    assert len(calls) == 1
+    lead = expand(parse_lie("[[x,y],y]"), XY)
+    table = PairingTable.identity(XY)
+    assert lcs_degree(delta) == 3 and lcs_degree(delta, 2) is None
+    assert phi_inverse(delta) == lead
+    for w in XY.words(3):
+        assert pair_graded(table, delta, w) == lead.coeff(w)
+    assert pair_graded(table, commutator(commutator(A, B), gw_inv(B)), (0, 1)) == 0
+    with pytest.raises(ValueError, match="degree 2 < word length 3"):
+        pair_graded(table, commutator(A, B), (0, 1, 1))
+
+
+def _magnus_leading(delta, n):
+    """(k, degree-k part) from the exp-Magnus series: the oracle."""
+    s = magnus(delta, n).poly
+    k = min((len(w) for w in s.terms if w), default=None)
+    return None if k is None else (k, homogeneous_part(s, k))
+
+
+@st.composite
+def loops(draw):
+    """Group words over two or three letters: random words (inverse and
+    repeated letters), iterated commutators, their conjugates and powers,
+    products whose leading parts cancel, and the identity."""
+    alphabet = draw(st.sampled_from([XY, XYZ]))
+    r = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["word", "power", "commutator", "commutator",
+                                 "cancel", "cancel", "identity"]))
+    if kind == "word":
+        return random_groupword(r, alphabet, r.randint(1, 8))
+    if kind == "power":
+        g = GroupWord.generator(alphabet, r.randrange(len(alphabet)))
+        return reduce(gw_mul, [g] * r.randint(1, 6), random_groupword(r, alphabet, 2))
+    if kind == "identity":
+        g = random_groupword(r, alphabet, 5)
+        return gw_mul(g, gw_inv(g))
+    k = r.randint(2, 4 if alphabet is XY else 3)
+    c = tree_to_gw(random_lietree(r, alphabet, k), alphabet)
+    g = random_groupword(r, alphabet, r.randint(1, 3))
+    conj = gw_mul(gw_mul(g, c), gw_inv(g))
+    if kind == "commutator":
+        return c if r.random() < 0.5 else gw_mul(conj, conj)
+    # c times a conjugate of c^-1: the degree-k parts cancel
+    return gw_mul(c, gw_inv(conj))
+
+
+@settings(max_examples=60, deadline=None)
+@given(loops(), st.integers(1, 4))
+def test_leading_term_matches_the_exp_magnus_series(delta, n):
+    assert leading_term(delta, n) == _magnus_leading(delta, n)
+    got = leading_term(delta, 5)
+    assert got == _magnus_leading(delta, 5)
+    if got is None:
+        assert lcs_degree(delta, 5) is None
+        with pytest.raises(ValueError):
+            phi_inverse(delta, 5)
+        return
+    k, part = got
+    assert all(c.denominator == 1 for c in part.terms.values())
+    assert lcs_degree(delta, 5) == k and phi_inverse(delta, 5) == part
+    assert leading_term(delta, k) == got
+    if k > 1:  # a bound below the lcs degree finds nothing
+        assert leading_term(delta, k - 1) is None
+        with pytest.raises(ValueError, match="raise n_max"):
+            phi_inverse(delta, k - 1)
+
+
+def test_leading_term_edge_cases():
+    assert leading_term(E) is None and leading_term(E, 1) is None
+    assert leading_term(A, 1) == (1, NcPoly.letter(XY, 0))
+    assert leading_term(gw_inv(A)) == (1, NcPoly.letter(XY, 0).scale(-1))
+    # x^-3 y^2: the degree-1 part is -3 x + 2 y
+    w = GroupWord(XY, ((0, -1),) * 3 + ((1, 1),) * 2)
+    assert leading_term(w) == (1, NcPoly(XY, {(0,): -3, (1,): 2}))
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        leading_term(A, 0)
+
+
+def test_expansions_refuse_work_past_the_limit(monkeypatch):
+    from chenlie import freegrp
+
+    delta = commutator(commutator(A, B), B)  # 8 letters, lcs degree 3
+    assert len(delta) == 8
+    monkeypatch.setattr(freegrp, "MAX_MAGNUS_WORK", 120)
+    # degree 3 costs 8 * 15 = 120 steps, at the limit
+    assert lcs_degree(delta) == 3
+    assert magnus(delta, 3).poly == magnus(delta, 2).poly + phi_inverse(delta)
+    with pytest.raises(ValueError, match="8-letter group word to degree 4 "
+                       "could take 248 steps, over the limit of 120"):
+        magnus(delta, 4)
+    # a huge bound is refused from a closed form, without a loop
+    with pytest.raises(ValueError, match="over the limit of 120"):
+        magnus(delta, 10**9)
+    with pytest.raises(ValueError, match="over the limit of 120"):
+        magnus(GroupWord(XY, ((0, 1),)), 10**9)
+    monkeypatch.setattr(freegrp, "MAX_MAGNUS_WORK", 119)
+    with pytest.raises(ValueError, match="8-letter group word to degree 3 "
+                       "could take 120 steps, over the limit of 119"):
+        lcs_degree(delta)
+    # one letter: n + 1 words, and the deepening stops at degree 1
+    assert leading_term(GroupWord(XY, ((1, -1),) * 59), 8)[0] == 1
 
 
 def test_phi_inverse_is_leading_magnus_term():

@@ -274,6 +274,19 @@ def test_lie_layer_size_limits():
     assert "degree 40" in str(exc.value) and str(MAX_HALL_ELEMENTS) in str(exc.value)
 
 
+def test_oversized_blocks_are_refused_before_any_gram_matrix():
+    """Degree 12 over x,y, one word per multidegree: the blocks (5,7),
+    (6,6) and (7,5) are over the limit, and the refusal comes before the
+    accepted blocks sorted ahead of them are built."""
+    p = sum((NcPoly.from_word(XY, (0,) * a + (1,) * (12 - a)) for a in range(1, 12)),
+            NcPoly.zero(XY))
+    before = _projection_data.cache_info().misses
+    with pytest.raises(ValueError, match=r"multidegree \(5, 7\) has 66 Hall "
+                       "elements, over the block limit of 45"):
+        is_lie(p)
+    assert _projection_data.cache_info().misses == before
+
+
 def test_rank_identity_small():
     """dim L_k + dim(shuffle span) = m^k for the full window m <= 3, k <= 5
     is certified in the acceptance tests; spot-check m = 2, k = 3 exactly

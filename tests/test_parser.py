@@ -243,6 +243,23 @@ def test_power_digit_cap():
         assert str(MAX_SCALAR_DIGITS) in str(exc.value)
 
 
+def test_products_of_scalars_are_bounded_by_digits():
+    """A product's digits are bounded by the sum of its factors' (the
+    height bound of powers), checked before multiplying."""
+    assert parse_poly("10^2000*10^2299", alphabet=XY) == NcPoly.one(XY).scale(10 ** 4299)
+    assert parse_poly("(1/3)^3000*3^3000 x", alphabet=XY) == NcPoly.letter(XY, 0)
+    refused = (
+        ("2^4000*2^4000*2^4000*2^4000", 4817),
+        ("10^2000*10^2300", 4301),
+        ("(7^2600*x)*(y*7^2600)", 4395),  # letters in the factors change nothing
+    )
+    for text, digits in refused:
+        with pytest.raises(ValueError) as exc:
+            parse_poly(text, alphabet=XY)
+        assert str(exc.value) == (f"product could reach {digits} digits in a "
+                                  f"coefficient, over the limit of {MAX_SCALAR_DIGITS}")
+
+
 def test_trailing_input_rejected():
     with pytest.raises(ParseError):
         parse_poly("x y)", alphabet=XY)
