@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 
@@ -45,11 +44,11 @@ from .ncalg import (
     scalar_add,
     scalar_mul,
     scalar_str,
-    shuffle,
     var,
 )
 from .parser import (
     ParseError,
+    PShuffle,
     build_gw,
     build_poly,
     infer_alphabet,
@@ -181,7 +180,7 @@ def _cmd_shuffle(args):
     na = parse(_arg_text(args.a), "poly")
     nb = parse(_arg_text(args.b), "poly")
     alphabet = _alphabet(args, [na, nb])
-    p = shuffle(build_poly(na, alphabet), build_poly(nb, alphabet))
+    p = build_poly(PShuffle(na, nb), alphabet)  # with the size check of a # b
     return {"value": str(p)}, [str(p)]
 
 
@@ -413,23 +412,31 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _vectors_last(argv) -> list:
-    """``monodromy reduce -1,0,2,0,0,3``: argparse reads a vector that
-    starts with a minus sign as an unknown option, so move it behind "--",
-    where it can only be the positional argument."""
-    argv = list(argv)
-    for i in range(len(argv) - 1):
-        if argv[i:i + 2] == ["monodromy", "reduce"] and "--" not in argv:
-            rest = argv[i + 2:]
-            vecs = [a for a in rest if re.match(r"-\d", a)]
-            if vecs:
-                return argv[:i + 2] + [a for a in rest if a not in vecs] + ["--"] + vecs
-    return argv
+def _unflag_expressions(ap: argparse.ArgumentParser, argv) -> list:
+    """An expression or vector may start with a minus sign ("-x",
+    "-1,0,2,0,0,3"), which argparse reads as an unknown option.  Each
+    argument that starts with a dash and is no option of the (sub)command
+    it follows, nor "-" (stdin) or "--", gets a leading space, which makes
+    it positional; run takes the space off again."""
+    parser, out = ap, []
+    for a in argv:
+        options = parser._option_string_actions
+        if a.startswith("-") and a not in ("-", "--") and a[:2] not in options \
+                and a.split("=")[0] not in options:
+            a = " " + a
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction) and a in action.choices:
+                parser = action.choices[a]
+        out.append(a)
+    return out
 
 
 def run(argv) -> int:
     ap = build_arg_parser()
-    args = ap.parse_args(_vectors_last(argv))
+    args = ap.parse_args(_unflag_expressions(ap, argv))
+    for key, value in vars(args).items():
+        if isinstance(value, str) and value.startswith(" -"):
+            setattr(args, key, value[1:])
     try:
         payload, lines = args.fn(args)
     except (ParseError, ValueError, ZeroDivisionError, OSError, KeyError) as e:

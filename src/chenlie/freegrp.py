@@ -1,20 +1,20 @@
 """Free-group words, their Magnus expansions, and the graded isomorphism
 onto the free Lie algebra.
 
-Two expansions map a group word multiplicatively into the truncated tensor
-algebra.  ``magnus`` sends letter -> exp(letter) and inverse letter ->
-exp(-letter), over Fractions.  ``leading_term`` uses the Fox expansion,
-letter x_i -> 1 + X_i and inverse letter -> 1 - X_i + X_i^2 - ..., over
-plain ints: appending a letter shifts the series by one letter, and an
+One integer expansion does the work: the Fox expansion, letter x_i ->
+1 + X_i and inverse letter -> 1 - X_i + X_i^2 - ..., truncated at degree n,
+over plain ints.  Appending a letter shifts the series by one letter, and an
 inverse letter solves t = s - t X_i one degree at a time, so no two dense
-series are ever multiplied.  The substitution phi(X_i) = e^{X_i} - 1 carries
-the Fox expansion to the exp one and is the identity on the associated
-graded, so both give the same lowest nonzero degree k and the same degree-k
-part.  For a word in the k-th lower central subgroup that part is the Lie
-element of the word's class in gr^k of the free group (the Magnus embedding
-and the dimension subgroups of free groups, as in Magnus, Karrass and
-Solitar, ch. 5), and every iterated integral of a degree-k form word along
-the loop is the inner product against it.
+series are ever multiplied.  ``magnus``, the expansion letter ->
+exp(+-letter), is its image under phi(X_i) = e^{X_i} - 1, applied once (in
+closed form for a power of one letter).  phi is the identity on the
+associated graded, so both expansions have the same lowest nonzero degree k
+and the same degree-k part, which ``leading_term`` reads off the Fox levels.  For a word in the k-th lower
+central subgroup that part is the Lie element of the word's class in gr^k
+of the free group (the Magnus embedding and the dimension subgroups of free
+groups, as in Magnus, Karrass and Solitar, ch. 5; the Fox expansion as in
+Fox, Free differential calculus I), and every iterated integral of a
+degree-k form word along the loop is the inner product against it.
 
 ``leading_term`` deepens the truncation n = 1, 2, ... and stops at the first
 nonzero part.  It stops by degree len(delta) at the latest: in a reduced
@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from math import factorial, lgamma, log, log10, prod
 
-from .chenint import TruncSeries, ts_mul
-from .ncalg import Alphabet, NcPoly
+from .chenint import TruncSeries
+from .ncalg import Alphabet, NcPoly, _check_digits
 
 __all__ = [
     "GroupWord",
@@ -48,11 +50,11 @@ DEFAULT_LCS_BOUND = 8
 # Most letter-steps one truncated expansion may take: the word's length times
 # the number of words of length <= n over its letters, a bound on the terms
 # each letter visits.  magnus and each degree leading_term deepens to check
-# it first, so a long word or a large -N is refused instead of running for
-# minutes.  The limit admits lcs -N 9 of the depth-8 nested commutator
-# (538 098 steps, 0.1 s); at the limit magnus takes 4-7 s on two or three
-# letters and 13 s on one, whose coefficients grow (2-CPU container,
-# Python 3.11).
+# it first, so a long word or a large -N is refused at once.  It holds words
+# of two or more letters to degree 17, where magnus at the limit takes
+# 0.2-2.6 s, the most for short words at high degree (an 18-letter word over
+# x, y to degree 14; a 1170-letter one to degree 8 takes 0.2 s), and powers
+# of one letter, done in closed form, to 0.1 s (2-CPU container, Python 3.11).
 MAX_MAGNUS_WORK = 600_000
 
 
@@ -131,17 +133,6 @@ def commutator(a: GroupWord, b: GroupWord) -> GroupWord:
     )
 
 
-def _exp_letter(alphabet: Alphabet, i: int, sign: int, n: int) -> TruncSeries:
-    """exp(sign * letter_i) truncated at degree n, written out directly:
-    the degree-d term is sign^d letter^d / d!."""
-    terms = {(): Fraction(1)}
-    fact = 1
-    for d in range(1, n + 1):
-        fact *= d
-        terms[(i,) * d] = Fraction(sign ** d, fact)
-    return TruncSeries(n, NcPoly(alphabet, terms))
-
-
 def _check_work(delta: GroupWord, n: int):
     """Refuse an expansion of delta to degree n past MAX_MAGNUS_WORK."""
     m = len({i for i, _ in delta.entries})
@@ -155,29 +146,13 @@ def _check_work(delta: GroupWord, n: int):
         )
 
 
-def magnus(delta: GroupWord, n: int) -> TruncSeries:
-    """Multiplicative image of delta under letter -> exp(+-letter), all
-    products truncated beyond degree n."""
-    if n < 1:
-        raise ValueError("truncation degree must be >= 1")
-    _check_work(delta, n)
-    out = TruncSeries.one(delta.alphabet, n)
-    cache: dict = {}
-    for i, e in delta.entries:
-        f = cache.get((i, e))
-        if f is None:
-            f = cache[(i, e)] = _exp_letter(delta.alphabet, i, e, n)
-        out = ts_mul(out, f)
-    return out
-
-
-def _fox_top(delta: GroupWord, n: int) -> dict:
-    """The degree-n part of the Fox expansion of delta truncated at n, as
-    word -> nonzero int.  levels[d] holds the degree-d part of the
-    product so far.  A letter x_i maps s to s + s X_i, filled from the top
-    degree down so each level reads the old one below it; an inverse
-    letter maps s to the t with t + t X_i = s, filled from the bottom up
-    so each level reads the new one below it."""
+def _fox(delta: GroupWord, n: int) -> list:
+    """The Fox expansion of delta truncated at n, as levels[d] = its
+    degree-d part, word -> int (zeros may stay).  levels[d] holds the
+    degree-d part of the product so far.  A letter x_i maps s to s + s X_i,
+    filled from the top degree down so each level reads the old one below
+    it; an inverse letter maps s to the t with t + t X_i = s, filled from the
+    bottom up so each level reads the new one below it."""
     levels = [{(): 1}] + [{} for _ in range(n)]
     for i, e in delta.entries:
         a = (i,)
@@ -187,7 +162,48 @@ def _fox_top(delta: GroupWord, n: int) -> dict:
                 if c:
                     v = w + a
                     up[v] = up.get(v, 0) + e * c
-    return {w: c for w, c in levels[n].items() if c}
+    return levels
+
+
+def magnus(delta: GroupWord, n: int) -> TruncSeries:
+    """Multiplicative image of delta under letter -> exp(+-letter), all
+    products truncated beyond degree n: phi(X_i) = e^{X_i} - 1 applied to
+    the Fox expansion.  A run X_a^d of a Fox word maps to (e^{X_a} - 1)^d,
+    whose X_a^l coefficient is d! S(l, d) / l!.  Adjacent runs of a Fox word
+    have distinct letters, so each word of the image has one run per run of
+    the Fox word it comes from: its integer numerators are summed, then
+    divided once by the product of its run lengths' factorials."""
+    if n < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if delta.is_identity():  # no level to fill, whatever n is
+        return TruncSeries.one(delta.alphabet, n)
+    _check_work(delta, n)
+    # a degree-l coefficient has a denominator dividing l! and a numerator
+    # at most len(delta)^l
+    _check_digits(f"expanding a {len(delta)}-letter group word to degree {n}",
+                  max(lgamma(n + 1) / log(10), n * log10(len(delta))))
+    letters = {i for i, _ in delta.entries}
+    if len(letters) == 1:
+        # x_i^k, whose Fox expansion (1 + X_i)^k maps to exp(k X_i): its runs
+        # reach the degree, which only a word of one letter can take so high
+        i, k = letters.pop(), sum(e for _, e in delta.entries)
+        return TruncSeries(n, NcPoly(delta.alphabet, {
+            (i,) * l: Fraction(k ** l, factorial(l)) for l in range(n + 1)}))
+    surj = [[1] + [0] * n]  # surj[l][d] = d! S(l, d), maps of l onto d things
+    for _ in range(n):
+        surj.append([0] + [d * (surj[-1][d] + surj[-1][d - 1]) for d in range(1, n + 1)])
+    nums: dict = {}
+    for w, c in ((w, c) for level in _fox(delta, n) for w, c in level.items() if c):
+        # (image word so far, numerator, degrees left to spend), run by run
+        partial = [((), c, n - len(w))]
+        for a, d in ((a, len(list(g))) for a, g in groupby(w)):
+            partial = [(v + (a,) * l, num * surj[l][d], left - l + d)
+                       for v, num, left in partial for l in range(d, d + left + 1)]
+        for v, num, _ in partial:
+            nums[v] = nums.get(v, 0) + num
+    terms = {v: Fraction(num, prod(factorial(len(list(g))) for _, g in groupby(v)))
+             for v, num in nums.items() if num}
+    return TruncSeries(n, NcPoly(delta.alphabet, terms))
 
 
 def leading_term(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
@@ -198,7 +214,7 @@ def leading_term(delta: GroupWord, n_max: int = DEFAULT_LCS_BOUND):
         raise ValueError("n_max must be >= 1")
     for n in range(1, min(n_max, len(delta)) + 1):
         _check_work(delta, n)
-        top = _fox_top(delta, n)
+        top = {w: c for w, c in _fox(delta, n)[n].items() if c}
         if top:
             return n, NcPoly(delta.alphabet, top)
     return None

@@ -51,6 +51,7 @@ __all__ = [
     "scalar_dt",
     "scalar_str",
     "is_zero_scalar",
+    "MAX_SCALAR_DIGITS",
     "Alphabet",
     "Word",
     "default_letters",
@@ -59,7 +60,6 @@ __all__ = [
     "concat_mul",
     "shuffle",
     "shuffle_words",
-    "shuffle_inner",
     "collect",
     "inner",
     "homogeneous_part",
@@ -498,6 +498,23 @@ def scalar_dt(a) -> Scalar:
 
 # -- printing ---------------------------------------------------------------
 
+# Most decimal digits a coefficient's numerator or denominator may reach:
+# the printers' limit, Python's default for converting an int to text.
+# Powers and products of scalars (parser) and magnus (freegrp) estimate
+# their digits first, so 2^1000000000 never builds its 10^9 bits.
+MAX_SCALAR_DIGITS = 4300
+
+
+def _check_digits(what: str, log_height: float):
+    """Refuse a computation whose coefficients' integers could pass
+    MAX_SCALAR_DIGITS digits, from the log10 of their height bound."""
+    digits = int(log_height) + 1
+    if digits > MAX_SCALAR_DIGITS:
+        raise ValueError(
+            f"{what} could reach {digits} digits in a coefficient, over the "
+            f"limit of {MAX_SCALAR_DIGITS}"
+        )
+
 
 def _mono_sort_key(m: Mono, varlist: tuple):
     exps = dict(m)
@@ -804,26 +821,30 @@ _SHUFFLE_CACHE_MAX = 65_536
 
 
 def shuffle_words(u: Word, v: Word) -> dict:
-    """All order-preserving interleavings: word -> multiplicity."""
-    if not u:
-        return {tuple(v): 1}
-    if not v:
-        return {tuple(u): 1}
-    key = (tuple(u), tuple(v))
-    hit = _SHUFFLE_CACHE.get(key)
+    """All order-preserving interleavings: word -> multiplicity.  Row i
+    holds the shuffles of u[i:] with each suffix of v; the rows are filled
+    from the last letter of u back and only two are kept, so no call
+    recurses or holds the shuffles of every pair of suffixes."""
+    u, v = tuple(u), tuple(v)
+    if not u or not v:
+        return {u + v: 1}
+    hit = _SHUFFLE_CACHE.get((u, v))
     if hit is not None:
         return hit
-    out: dict = {}
-    for w, c in shuffle_words(key[0][1:], key[1]).items():
-        w = (key[0][0],) + w
-        out[w] = out.get(w, 0) + c
-    for w, c in shuffle_words(key[0], key[1][1:]).items():
-        w = (key[1][0],) + w
-        out[w] = out.get(w, 0) + c
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # u's suffix is empty
+    for i in range(len(u) - 1, -1, -1):
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            row[j] = out = {}
+            for a, part in ((u[i], below[j]), (v[j], row[j + 1])):
+                for w, c in part.items():
+                    w = (a,) + w
+                    out[w] = out.get(w, 0) + c
+        below = row
     if len(_SHUFFLE_CACHE) >= _SHUFFLE_CACHE_MAX:
         _SHUFFLE_CACHE.clear()
-    _SHUFFLE_CACHE[key] = out
-    return out
+    _SHUFFLE_CACHE[(u, v)] = below[0]
+    return below[0]
 
 
 def shuffle(p: NcPoly, q: NcPoly) -> NcPoly:
@@ -838,17 +859,6 @@ def shuffle(p: NcPoly, q: NcPoly) -> NcPoly:
                     yield w, scalar_mul(c, mult)
 
     return collect(p.alphabet, pairs())
-
-
-def shuffle_inner(p: NcPoly, u: Word, v: Word) -> Scalar:
-    """<p, u * v> for the shuffle u * v of two words, without building the
-    shuffle polynomial."""
-    total: Scalar = Fraction(0)
-    for w, mult in shuffle_words(u, v).items():
-        c = p.terms.get(w)
-        if c is not None:
-            total = scalar_add(total, scalar_mul(c, mult))
-    return total
 
 
 def inner(p: NcPoly, q: NcPoly) -> Scalar:

@@ -27,7 +27,7 @@ from math import comb, lcm, log10
 from .freegrp import GroupWord, commutator, gw_inv
 from .liealg import LieTree
 from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
-from .ncalg import _mpoly_terms, _num_den
+from .ncalg import MAX_SCALAR_DIGITS, _check_digits, _mpoly_terms, _num_den
 
 __all__ = [
     "MAX_NESTING",
@@ -66,12 +66,6 @@ MAX_GW_LETTERS = 100_000
 # words, so a short expression such as (x+y)^40 could ask for more words
 # than memory holds; build_poly checks this bound on the syntax tree.
 MAX_POLY_LETTERS = 1_000_000
-
-# Most decimal digits a power may reach in any integer of its coefficients'
-# numerators and denominators: the printers' limit, Python's default for
-# converting an int to text.  build_poly estimates the digits before it
-# raises anything to a power, so 2^1000000000 never builds its 10^9 bits.
-MAX_SCALAR_DIGITS = 4300
 
 
 class ParseError(ValueError):
@@ -459,7 +453,10 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
     the terms too, so a nested bracket such as [x,[x,...[x,y]...]] counts
     one term per word it can have.  Every subtree is built, so each must
     stay within MAX_POLY_LETTERS letters (terms times the degree, at least
-    1).  Each count is exact or already over that limit."""
+    1), and so must shuffle_words' table, a word of up to d1 + d2 letters
+    for each suffix pair of each pair of words.  Each count is exact or
+    already over that limit; the table's is a bound."""
+    table = 0
     if isinstance(n, PInt):
         t, d, md = 1, 0, (0,) * len(alphabet)
     elif isinstance(n, PIdent):
@@ -484,6 +481,8 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
         t2, d2, m2 = _poly_size(n.right, alphabet)
         shuffles = 2 if isinstance(n, PBracket) else _comb(d1 + d2, d1)
         t, d, md = t1 * t2 * shuffles, d1 + d2, _add_md(m1, m2)
+        if isinstance(n, PShuffle):
+            table = t1 * t2 * (d1 + 1) * (d2 + 1) * d
     elif isinstance(n, PSum):
         sizes = [_poly_size(term, alphabet) for _, term in n.terms]
         t = sum(s[0] for s in sizes)
@@ -497,7 +496,7 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
             total += a
             words *= _comb(total, a)
         t = min(t, words)
-    letters = t * max(d, 1)
+    letters = max(t * max(d, 1), table)
     if letters > MAX_POLY_LETTERS:
         raise ValueError(
             f"polynomial expression could reach {letters} letters, over the "
@@ -520,17 +519,6 @@ def _height(p: NcPoly) -> int:
             h = max(h, den, sum(abs(f.numerator) * den // f.denominator for f in fs))
         height += h
     return max(height, 1)
-
-
-def _check_digits(what: str, log_height: float):
-    """Refuse a power or product whose coefficients' integers could pass
-    MAX_SCALAR_DIGITS digits, from the log10 of their height bound."""
-    digits = int(log_height) + 1
-    if digits > MAX_SCALAR_DIGITS:
-        raise ValueError(
-            f"{what} could reach {digits} digits in a coefficient, over the "
-            f"limit of {MAX_SCALAR_DIGITS}"
-        )
 
 
 def build_poly(node, alphabet: Alphabet) -> NcPoly:

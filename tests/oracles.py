@@ -6,6 +6,11 @@ against.
   nonempty.  ``liealg.is_lie`` asks the orthogonal projection instead.
 * ``is_grouplike_sweep`` checks the shuffle relations of a series pair by
   pair.  ``chenint.is_grouplike`` asks whether the logarithm is Lie.
+* ``shuffle_inner`` reads <p, u * v> word by word from the shuffle of u
+  and v, without building the shuffle polynomial.
+* ``magnus_exp`` multiplies the exp series of each letter of a group word
+  in turn, one dense truncated product per letter.  ``freegrp.magnus``
+  substitutes X -> e^X - 1 into the integer Fox expansion instead.
 * ``modp_rank`` is a rank over GF(p), p = 2^31 - 1: an exact lower bound
   on the rank over Q, since any nonzero minor mod p is a nonzero minor
   over Q.  Combined with an upper bound (spanning-set size, or
@@ -15,15 +20,45 @@ against.
 
 from fractions import Fraction
 
+from chenlie.chenint import TruncSeries, ts_mul
 from chenlie.ncalg import (
     NcPoly,
+    Scalar,
+    Word,
     homogeneous_part,
     is_zero_scalar,
+    scalar_add,
     scalar_mul,
-    shuffle_inner,
+    shuffle_words,
 )
 
 MERSENNE31 = 2**31 - 1
+
+
+def shuffle_inner(p: NcPoly, u: Word, v: Word) -> Scalar:
+    """<p, u * v> for the shuffle u * v of two words, without building the
+    shuffle polynomial."""
+    total: Scalar = Fraction(0)
+    for w, mult in shuffle_words(u, v).items():
+        c = p.terms.get(w)
+        if c is not None:
+            total = scalar_add(total, scalar_mul(c, mult))
+    return total
+
+
+def magnus_exp(delta, n: int) -> TruncSeries:
+    """Multiplicative image of a group word under letter -> exp(+-letter),
+    truncated beyond degree n: one ts_mul by exp(e X_i) per letter, whose
+    degree-d term is e^d X_i^d / d!."""
+    out = TruncSeries.one(delta.alphabet, n)
+    for i, e in delta.entries:
+        terms = {(): Fraction(1)}
+        fact = 1
+        for d in range(1, n + 1):
+            fact *= d
+            terms[(i,) * d] = Fraction(e ** d, fact)
+        out = ts_mul(out, TruncSeries(n, NcPoly(delta.alphabet, terms)))
+    return out
 
 
 def is_lie_ree(p: NcPoly) -> bool:

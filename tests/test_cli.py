@@ -1,15 +1,20 @@
 """Command-line interface: text and JSON output for every subcommand,
 exit codes, stdin input, and the JSON model/connection/table loaders."""
 
+import contextlib
 import io
 import json
+import random
 import time
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chenlie.cli import run
+from chenlie.ncalg import Alphabet, NcPoly
 
 
 def invoke(capsys, *argv):
@@ -149,6 +154,15 @@ def test_monodromy_vector_may_start_with_a_minus_sign(capsys):
     assert doc == as_json(capsys, "monodromy", "reduce", "--", "-1,0,-2,0,0,3")
 
 
+def test_expressions_may_start_with_a_minus_sign(capsys):
+    assert ok(capsys, "expand", "-x") == "-x\n"
+    assert ok(capsys, "shuffle", "-x", "-y") == "x y + y x\n"
+    assert ok(capsys, "--json", "pair", "-2x", "x") == ok(capsys, "--json", "pair", "--", "-2x", "x")
+    assert ok(capsys, "magnus", "-N", "1", "x") == ok(capsys, "magnus", "-N1", "x")
+    code, out, err = invoke(capsys, "expand", "--x")
+    assert code == 1 and err == "error: line 1, column 2: expected an expression, found '-'\n"
+
+
 def test_json_flag_position_is_flexible(capsys):
     before = ok(capsys, "--json", "ck", "-k", "2")
     after = ok(capsys, "ck", "-k", "2", "--json")
@@ -215,6 +229,42 @@ def test_long_expansions_are_a_one_line_error(capsys):
         assert "over the limit of 600000" in err
 
 
+def test_expansions_at_the_work_limit_are_quick(capsys):
+    # 1170 letters over x, y to degree 8: 597 870 steps; x^100000 to
+    # degree 5: 600 000 steps, each at most MAX_MAGNUS_WORK
+    r = random.Random(8)
+    entries = []
+    while len(entries) < 1170:
+        g = (r.choice("xy"), r.choice(("", "^-1")))
+        if not entries or entries[-1][0] != g[0] or entries[-1][1] == g[1]:
+            entries.append(g)
+    word = " ".join(a + e for a, e in entries)
+    start = time.perf_counter()
+    out = ok(capsys, "magnus", "-N", "8", word)
+    assert time.perf_counter() - start < 1
+    assert out.count(" ") > 500  # 511 words of length <= 8
+    start = time.perf_counter()
+    out = ok(capsys, "magnus", "-N", "5", "x^100000")
+    assert time.perf_counter() - start < 1
+    x = Alphabet(("x",))
+    assert out == f"{NcPoly(x, {(0,) * j: Fraction(10 ** (5 * j), factorial(j)) for j in range(6)})}\n"
+
+
+def test_magnus_past_the_digit_limit_is_a_one_line_error(capsys):
+    """The coefficient of x^l in exp(x) is 1/l!, which has more than 4300
+    digits from l = 1559 on."""
+    for n, digits in ((2000, 5736), (20000, 77338)):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, "magnus", "-N", str(n), "x")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err == (f"error: expanding a 1-letter group word to degree {n} "
+                       f"could reach {digits} digits in a coefficient, over the "
+                       "limit of 4300\n")
+    out = ok(capsys, "magnus", "-N", "1500", "x")
+    assert out.endswith(f" + x^1500/{factorial(1500)}\n")
+
+
 def test_lcs_of_a_deep_commutator(capsys):
     # 526 letters, lcs degree 9
     start = time.perf_counter()
@@ -230,9 +280,12 @@ def test_one_letter_canonical_model_of_high_degree(capsys):
 
 
 def test_oversized_polynomials_are_a_one_line_error(capsys):
-    for text in ("x^1000000000", "(x+y)^40"):
+    # x^600 # x^600 has one word, but its shuffle table has 601^2 entries
+    for argv in (["expand", "x^1000000000"], ["expand", "(x+y)^40"],
+                 ["expand", "x^600 # x^600"], ["shuffle", "x^600", "x^600"],
+                 ["shuffle", "x^20", "y^20"]):
         start = time.perf_counter()
-        code, out, err = invoke(capsys, "expand", text)
+        code, out, err = invoke(capsys, *argv)
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -356,3 +409,64 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+# ------------------------------------------------------------------- fuzzer
+
+_INTS = st.sampled_from(["0", "1", "2", "3", "7", "12", "40", "300", "20000",
+                         "1000000000"])
+_IDENTS = st.sampled_from(["x", "y", "z", "t", "a", "w1"])
+# "--" is the command line's end of options, never an expression.
+_NOISE = st.text(alphabet="xyt12^-()[],#+*/ ", max_size=10).filter(lambda s: s != "--")
+
+
+def _binary(children, fmt):
+    return st.tuples(children, children).map(lambda ab: fmt.format(*ab))
+
+
+# Polynomial and group-word texts from the grammar in chenlie.parser,
+# malformed ones among them.
+_POLYS = st.one_of(_NOISE, st.recursive(
+    st.one_of(_IDENTS, _INTS),
+    lambda c: st.one_of(
+        _binary(c, "{} + {}"), _binary(c, "{} - {}"), _binary(c, "{}*{}"),
+        _binary(c, "{} {}"), _binary(c, "{}/{}"), _binary(c, "{} # {}"),
+        _binary(c, "[{},{}]"), c.map("({})".format), c.map("-{}".format),
+        st.tuples(c, _INTS).map(lambda a: f"({a[0]})^{a[1]}"),
+    ),
+    max_leaves=6,
+))
+_GWS = st.one_of(_NOISE, st.recursive(
+    st.one_of(_IDENTS, st.just("1")),
+    lambda c: st.one_of(
+        _binary(c, "{} {}"), _binary(c, "({},{})"), c.map("({})".format),
+        st.tuples(c, st.sampled_from(["", "-"]), _INTS).map(
+            lambda a: f"({a[0]})^{a[1]}{a[2]}"),
+    ),
+    max_leaves=6,
+))
+_DEGREES = st.sampled_from(["-1", "0", "1", "2", "3", "8", "30", "1000000000"])
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["expand", "islie", "project"]), _POLYS),
+    st.tuples(st.sampled_from(["shuffle", "pair"]), _POLYS, _POLYS),
+    st.tuples(st.sampled_from(["magnus", "lcs"]), st.just("-N"), _DEGREES, _GWS),
+    # eval's cost grows with the degree of the polynomial and the length of
+    # the loop, and no limit bounds either yet, so its texts have no powers
+    st.tuples(st.just("eval"), *(s.filter(lambda t: "^" not in t) for s in (_GWS, _POLYS))),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMMANDS, st.booleans())
+def test_every_expression_ends_in_a_result_or_one_error_line(argv, as_json):
+    argv = ["--json", *argv] if as_json else list(argv)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO("x y")):
+        code = run(argv)
+    assert time.perf_counter() - start < 2
+    if code != 0:
+        assert code == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert len(err.getvalue().splitlines()) == 1

@@ -23,6 +23,7 @@ from chenlie.ncalg import NcPoly, homogeneous_part
 from chenlie.parser import parse_gw, parse_lie
 
 from conftest import XY, XYZ, random_groupword, random_lietree, tree_to_gw
+from oracles import magnus_exp
 
 A = GroupWord.generator(XY, 0)
 B = GroupWord.generator(XY, 1)
@@ -92,6 +93,7 @@ def test_magnus_generator_is_exponential():
 
 def test_magnus_identity():
     assert magnus(E, 3).poly == NcPoly.one(XY)
+    assert magnus(E, 10**9).poly == NcPoly.one(XY)  # no level is filled
 
 
 def test_magnus_requires_positive_degree():
@@ -186,8 +188,9 @@ def test_leading_terms_need_no_magnus_series(monkeypatch):
 
 
 def _magnus_leading(delta, n):
-    """(k, degree-k part) from the exp-Magnus series: the oracle."""
-    s = magnus(delta, n).poly
+    """(k, degree-k part) from the exp-Magnus series of the oracle, which
+    shares no code with the Fox layer."""
+    s = magnus_exp(delta, n).poly
     k = min((len(w) for w in s.terms if w), default=None)
     return None if k is None else (k, homogeneous_part(s, k))
 
@@ -240,6 +243,23 @@ def test_leading_term_matches_the_exp_magnus_series(delta, n):
             phi_inverse(delta, k - 1)
 
 
+@st.composite
+def letter_powers(draw):
+    """x^k for one letter x of two or three, k from -12 to 12."""
+    alphabet = draw(st.sampled_from([XY, XYZ]))
+    i = draw(st.integers(0, len(alphabet) - 1))
+    k = draw(st.integers(-12, 12))
+    return GroupWord(alphabet, ((i, 1 if k > 0 else -1),) * abs(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(loops(), letter_powers()), st.integers(1, 7))
+def test_magnus_matches_the_exp_series(delta, n):
+    """The X -> e^X - 1 image of the Fox expansion is the product of the
+    letters' exp series, on loops and on one-letter powers x^k."""
+    assert magnus(delta, n).poly == magnus_exp(delta, n).poly
+
+
 def test_leading_term_edge_cases():
     assert leading_term(E) is None and leading_term(E, 1) is None
     assert leading_term(A, 1) == (1, NcPoly.letter(XY, 0))
@@ -274,6 +294,12 @@ def test_expansions_refuse_work_past_the_limit(monkeypatch):
         lcs_degree(delta)
     # one letter: n + 1 words, and the deepening stops at degree 1
     assert leading_term(GroupWord(XY, ((1, -1),) * 59), 8)[0] == 1
+    # past the work limit, a numerator's bound len^n can pass 4300 digits
+    # (log10 1100! is about 2864), refused before any expansion
+    monkeypatch.setattr(freegrp, "MAX_MAGNUS_WORK", 10**9)
+    with pytest.raises(ValueError, match="10000-letter group word to degree 1100 "
+                       "could reach 4401 digits in a coefficient"):
+        magnus(GroupWord(XY, ((0, 1),) * 10000), 1100)
 
 
 def test_phi_inverse_is_leading_magnus_term():

@@ -1,7 +1,9 @@
 """Scalar tower and free associative algebra: arithmetic laws, shuffle
 combinatorics, the duality pairing, and the printing grammar."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -31,13 +33,12 @@ from chenlie.ncalg import (
     scalar_pow,
     scalar_str,
     shuffle,
-    shuffle_inner,
     shuffle_words,
     var,
     word_str,
 )
 from conftest import random_lie_poly
-from oracles import is_lie_ree
+from oracles import is_lie_ree, shuffle_inner
 
 XY = Alphabet(("x", "y"))
 
@@ -166,6 +167,14 @@ def test_shuffle_words_counts():
     assert shuffle_words((0,), (0,)) == {(0, 0): 2}
     counts = shuffle_words((0, 1), (0, 1))
     assert sum(counts.values()) == comb(4, 2)
+    # the table is filled without recursing: 200 letters fit in 50 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        long = shuffle_words((0,) * 200, (1,))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert long == {(0,) * i + (1,) + (0,) * (200 - i): 1 for i in range(201)}
 
 
 @settings(max_examples=30, deadline=None)
