@@ -19,7 +19,7 @@ import argparse
 from fractions import Fraction
 
 from chenlie import WeightPair, ck, ck_closed_form
-from chenlie.ncalg import scalar_add, scalar_mul, scalar_str
+from chenlie.ncalg import scalar_str
 
 
 def main() -> int:
@@ -32,8 +32,7 @@ def main() -> int:
     w1_s, w2_s = args.weights.split(",")
     witness = WeightPair(Fraction(w1_s), Fraction(w2_s))
     symbolic = WeightPair.symbolic()
-    shifted = WeightPair(
-        scalar_add(scalar_add(symbolic.w1, symbolic.w2), -1), symbolic.w2)
+    shifted = WeightPair(symbolic.w1 + symbolic.w2 - 1, symbolic.w2)
 
     print(f"witness weights: w1 = {witness.w1}, w2 = {witness.w2}\n")
     header = f"{'k':>2}  {'C_k(w1, w2)':<58} {'at witness':>12}"
@@ -43,10 +42,7 @@ def main() -> int:
         sym = ck(symbolic, k)
         assert sym == ck_closed_form(symbolic, k)
         if k > 2:
-            rec = scalar_mul(
-                scalar_add(symbolic.w2, scalar_mul(symbolic.w1, -1)),
-                ck_closed_form(shifted, k - 1))
-            assert sym == rec
+            assert sym == (symbolic.w2 - symbolic.w1) * ck_closed_form(shifted, k - 1)
         num = ck(witness, k)
         print(f"{k:>2}  {scalar_str(sym):<58} {str(num):>12}")
     print("\nclosed form and recursion hold symbolically at every order "

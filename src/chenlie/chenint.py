@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lgamma, log
 
 from .liealg import is_lie
 from .ncalg import (
@@ -36,11 +36,9 @@ from .ncalg import (
     NcPoly,
     Scalar,
     Word,
+    _check_digits,
+    coerce_scalar,
     collect,
-    is_zero_scalar,
-    scalar_add,
-    scalar_mul,
-    scalar_neg,
     var,
 )
 
@@ -56,7 +54,13 @@ __all__ = [
     "evaluate",
     "PairingTable",
     "pair_graded",
+    "MAX_CHEN_PAIRS",
 ]
+
+# Most (slot, split) pairs one evaluate may visit, checked before its first
+# Chen step: the loop's length times the sum of |u| + 1 over the prefixes u
+# of omega's words.  x^200 along x visits 20 301; x^445, the most, ~1 s.
+MAX_CHEN_PAIRS = 100_000
 
 
 def _truncated(p: NcPoly, n: int) -> NcPoly:
@@ -106,7 +110,7 @@ def ts_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
         if len(wb) <= n:
             by_degree[len(wb)].append((wb, cb))
     pairs = (
-        (wa + wb, scalar_mul(ca, cb))
+        (wa + wb, ca * cb)
         for wa, ca in a.poly.terms.items()
         for d in range(n + 1 - len(wa))
         for wb, cb in by_degree[d]
@@ -140,7 +144,7 @@ def _power_series(u: NcPoly, n: int, coeffs: list) -> TruncSeries:
 def ts_exp(p, degree: int = None) -> TruncSeries:
     """exp of a series with zero constant term."""
     poly, n = _as_poly_and_degree(p, degree)
-    if not is_zero_scalar(poly.coeff(())):
+    if poly.coeff(()):
         raise ValueError("ts_exp needs a zero constant term")
     return _power_series(poly, n, [Fraction(1, factorial(i)) for i in range(n + 1)])
 
@@ -178,9 +182,9 @@ def is_grouplike(s: TruncSeries) -> bool:
     x = letters.pop() if letters else 0
     c, power = s.poly.coeff((x,)), Fraction(1)
     for j in range(s.degree + 1):
-        if not is_zero_scalar(scalar_add(s.poly.coeff((x,) * j), scalar_neg(power))):
+        if s.poly.coeff((x,) * j) - power:
             return False
-        power = scalar_mul(power, scalar_mul(c, Fraction(1, j + 1)))
+        power = power * (c * Fraction(1, j + 1))
     return True
 
 
@@ -208,9 +212,15 @@ class IntegralModel:
 
 
 def canonical_model(alphabet: Alphabet, degree: int) -> IntegralModel:
-    """Each generator maps to the exponential of its own letter."""
+    """Each generator maps to the exponential of its own letter, written out
+    as sum over j <= degree of X_i^j / j!.  A degree whose 1/degree! would
+    pass MAX_SCALAR_DIGITS digits is refused first."""
+    _check_digits(f"the canonical model to degree {degree}",
+                  lgamma(max(degree, 0) + 1) / log(10))
     series = tuple(
-        ts_exp(NcPoly.letter(alphabet, i), degree) for i in range(len(alphabet))
+        TruncSeries(degree, NcPoly(alphabet, {
+            (i,) * j: Fraction(1, factorial(j)) for j in range(degree + 1)}))
+        for i in range(len(alphabet))
     )
     return IntegralModel(alphabet, alphabet, degree, series)
 
@@ -246,7 +256,8 @@ def evaluate(model: IntegralModel, delta, omega: NcPoly) -> Scalar:
     which reads G on the infixes v of omega's words only.  An inverse
     letter reads the antipode, <G^-1, v> = (-1)^|v| <G, reversed v>; that
     holds because every generator series of a model is group-like.  A word
-    of length k costs O(k^2) scalar operations per path letter.
+    of length k costs O(k^2) scalar operations per path letter, and the
+    total is checked against MAX_CHEN_PAIRS before the first step.
     """
     if omega.alphabet != model.forms:
         raise ValueError("form polynomial alphabet does not match the model")
@@ -260,6 +271,12 @@ def evaluate(model: IntegralModel, delta, omega: NcPoly) -> Scalar:
     for w in omega.terms:
         for j in range(1, len(w) + 1):
             slots.setdefault(w[:j], len(slots))
+    pairs = len(delta) * sum(len(u) + 1 for u in slots)
+    if pairs > MAX_CHEN_PAIRS:
+        raise ValueError(
+            f"evaluating along a {len(delta)}-letter loop could visit {pairs} "
+            f"slot pairs, over the limit of {MAX_CHEN_PAIRS}"
+        )
     state: list = [Fraction(1)] + [Fraction(0)] * (len(slots) - 1)
     steps: dict = {}
     for letter in delta.entries:
@@ -284,7 +301,7 @@ def _chen_step(g: TruncSeries, sign: int, slots: dict) -> list:
             else:  # the antipode
                 c = terms.get(v[::-1])
                 if c is not None and len(v) % 2:
-                    c = scalar_neg(c)
+                    c = -c
             if c is not None:
                 pairs.append((slots[w[:j]], c))
         step.append(pairs)
@@ -294,7 +311,7 @@ def _chen_step(g: TruncSeries, sign: int, slots: dict) -> list:
 def _dot(pairs, state: list) -> Scalar:
     total: Scalar = Fraction(0)
     for i, c in pairs:
-        total = scalar_add(total, scalar_mul(state[i], c))
+        total = total + state[i] * c
     return total
 
 
@@ -313,6 +330,8 @@ class PairingTable:
         for row in self.entries:
             if len(row) != len(self.forms):
                 raise ValueError("one column per form is required")
+        object.__setattr__(self, "entries", tuple(
+            tuple(coerce_scalar(e) for e in row) for row in self.entries))
 
     @classmethod
     def symbolic(cls, paths: Alphabet, forms: Alphabet, prefix: str = "v"):
@@ -364,6 +383,6 @@ def pair_graded(table: PairingTable, delta, omega: Word) -> Scalar:
     for w, a in part.items():
         prod: Scalar = a
         for s in range(k):
-            prod = scalar_mul(prod, table.entries[w[s]][word[s]])
-        total = scalar_add(total, prod)
+            prod = prod * table.entries[w[s]][word[s]]
+        total = total + prod
     return total

@@ -40,9 +40,6 @@ from .ncalg import (
     NcPoly,
     default_letters,
     inner,
-    is_zero_scalar,
-    scalar_add,
-    scalar_mul,
     scalar_str,
     var,
 )
@@ -242,7 +239,7 @@ def _cmd_eval(args):
             )
         v = Fraction(0)
         for word, c in omega.items():
-            v = scalar_add(v, scalar_mul(c, pair_graded(table, delta, word)))
+            v = v + c * pair_graded(table, delta, word)
     return {"model": args.model, "value": scalar_str(v)}, [scalar_str(v)]
 
 
@@ -258,7 +255,7 @@ def _cmd_ck(args):
 
 def _cmd_m5check(args):
     v = example_ex_m5()
-    holds = is_zero_scalar(v)
+    holds = not v
     payload = {"value": scalar_str(v), "identity_holds": holds}
     line = f"{scalar_str(v)} (identity holds)" if holds else f"{scalar_str(v)} (NONZERO)"
     return payload, [line]

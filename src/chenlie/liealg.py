@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from ._linalg import frac_rank, frac_solve
 from .ncalg import (
@@ -24,9 +24,6 @@ from .ncalg import (
     concat_mul,
     homogeneous_part,
     inner,
-    is_zero_scalar,
-    scalar_add,
-    scalar_mul,
 )
 
 __all__ = [
@@ -169,7 +166,10 @@ def _hall_levels(alphabet: Alphabet, k: int) -> tuple:
     """
     m, total = len(alphabet), 0
     for d in range(1, k + 1):
-        total += witt_number(m, d) or 1  # an empty degree still costs a pass
+        # An empty degree still costs a pass, so each degree counts at least
+        # one and the loop stops by degree MAX_HALL_ELEMENTS + 1.  On one
+        # letter every degree past 1 is empty: no Witt number is needed.
+        total += witt_number(m, d) if m > 1 else 1
         if total > MAX_HALL_ELEMENTS:
             raise ValueError(
                 f"the Hall set on {m} letters up to degree {k} has at least "
@@ -177,6 +177,8 @@ def _hall_levels(alphabet: Alphabet, k: int) -> tuple:
                 f"of {MAX_HALL_ELEMENTS}"
             )
     levels = [tuple(LieTree.leaf(name) for name in alphabet.letters)]
+    if m == 1:
+        return tuple(levels) + ((),) * (k - 1)
     rank = {t: i for i, t in enumerate(levels[0])}
     for d in range(2, k + 1):
         made = []
@@ -267,9 +269,9 @@ def decompose(p: NcPoly) -> tuple:
         exps, inv = _projection_data(p.alphabet, md)
         rhs = [inner(e, p) for e in exps]
         for e, row in zip(exps, inv):
-            c = reduce(scalar_add, map(scalar_mul, row, rhs), Fraction(0))
-            if not is_zero_scalar(c):
-                pairs.extend((w, scalar_mul(c, d)) for w, d in e.terms.items())
+            c = sum((r * h for r, h in zip(row, rhs)), Fraction(0))
+            if c:
+                pairs.extend((w, c * d) for w, d in e.terms.items())
     lie = collect(p.alphabet, pairs)
     return lie, p - lie
 

@@ -32,12 +32,7 @@ from .ncalg import (
     collect,
     concat_mul,
     inner,
-    is_zero_scalar,
-    scalar_add,
-    scalar_div,
     scalar_dt,
-    scalar_mul,
-    scalar_neg,
     var,
 )
 
@@ -93,7 +88,7 @@ class Connection:
             "matrix",
             tuple(tuple(coerce_scalar(e) for e in row) for row in self.matrix),
         )
-        if is_zero_scalar(self.delta_poly):
+        if not self.delta_poly:
             raise ValueError("denominator polynomial must be nonzero")
 
     @classmethod
@@ -114,9 +109,7 @@ class Connection:
     def letter_image(self, i: int):
         """(j, A[i][j]/Delta) for the nonzero entries of row i."""
         return tuple(
-            (j, scalar_div(e, self.delta_poly))
-            for j, e in enumerate(self.matrix[i])
-            if not is_zero_scalar(e)
+            (j, e / self.delta_poly) for j, e in enumerate(self.matrix[i]) if e
         )
 
 
@@ -130,11 +123,11 @@ def derive(conn: Connection, p: NcPoly) -> NcPoly:
     def pairs():
         for word, c in p.terms.items():
             dc = scalar_dt(c)
-            if not is_zero_scalar(dc):
+            if dc:
                 yield word, dc
             for pos, letter in enumerate(word):
                 for j, s in images[letter]:
-                    yield word[:pos] + (j,) + word[pos + 1 :], scalar_mul(c, s)
+                    yield word[:pos] + (j,) + word[pos + 1 :], c * s
 
     return collect(p.alphabet, pairs())
 
@@ -199,8 +192,8 @@ def pk_closed_form(weights: WeightPair, k: int, i: int, forms: Alphabet = None) 
         c: Scalar = Fraction(1)
         s: Scalar = Fraction(0)
         for j in range(k, 1, -1):
-            s = scalar_add(s, wt[word[j - 1]])
-            c = scalar_mul(c, scalar_add(s, Fraction(-(k - j))))
+            s = s + wt[word[j - 1]]
+            c = c * (s - (k - j))
         terms[word] = c
     return NcPoly(forms, terms)
 
@@ -231,15 +224,10 @@ def ck_closed_form(weights: WeightPair, k: int) -> Scalar:
     """(w2 - w1) prod_{i=1}^{k-2} (i - w1 - (i-1) w2)."""
     if k < 2:
         raise ValueError("degree k must be >= 2")
-    out = scalar_add(weights.w2, scalar_neg(weights.w1))
+    w1, w2 = weights.w1, weights.w2
+    out = w2 - w1
     for i in range(1, k - 1):
-        f = scalar_add(
-            Fraction(i),
-            scalar_neg(
-                scalar_add(weights.w1, scalar_mul(Fraction(i - 1), weights.w2))
-            ),
-        )
-        out = scalar_mul(out, f)
+        out = out * (i - w1 - (i - 1) * w2)
     return out
 
 
@@ -309,10 +297,8 @@ def picard_lefschetz(i: int, v) -> H1Vector:
     for j in range(4):
         q = INTERSECTION[j][i - 1]
         if q:
-            ip = scalar_add(ip, scalar_mul(v[j], Fraction(q)))
-    return tuple(
-        scalar_add(v[j], scalar_neg(ip)) if j == i - 1 else v[j] for j in range(4)
-    )
+            ip = ip + v[j] * q
+    return tuple(v[j] - ip if j == i - 1 else v[j] for j in range(4))
 
 
 def _delta_to_mixed(v):
@@ -349,12 +335,7 @@ def wedge(u, v) -> Grade2Element:
         raise ValueError("4-vectors over the vanishing cycles are required")
     um = _delta_to_mixed(tuple(coerce_scalar(c) for c in u))
     vm = _delta_to_mixed(tuple(coerce_scalar(c) for c in v))
-    return tuple(
-        scalar_add(
-            scalar_mul(um[p], vm[q]), scalar_neg(scalar_mul(um[q], vm[p]))
-        )
-        for p, q in _PAIRS
-    )
+    return tuple(um[p] * vm[q] - um[q] * vm[p] for p, q in _PAIRS)
 
 
 def pl_grade2(i: int, g) -> Grade2Element:
@@ -369,12 +350,12 @@ def pl_grade2(i: int, g) -> Grade2Element:
     out = [Fraction(0)] * 6
     for idx in range(6):
         c = g[idx]
-        if is_zero_scalar(c):
+        if not c:
             continue
         row = mat[idx]
         for jdx in range(6):
             if row[jdx]:
-                out[jdx] = scalar_add(out[jdx], scalar_mul(c, Fraction(row[jdx])))
+                out[jdx] = out[jdx] + c * row[jdx]
     return tuple(out)
 
 
@@ -410,8 +391,8 @@ def apply_operator(op: NcPoly, g) -> Grade2Element:
         for sym in reversed(word):
             h = pl_grade2(sym + 1, h)
         for jdx in range(6):
-            if not is_zero_scalar(h[jdx]):
-                out[jdx] = scalar_add(out[jdx], scalar_mul(c, h[jdx]))
+            if h[jdx]:
+                out[jdx] = out[jdx] + c * h[jdx]
     return tuple(out)
 
 
@@ -429,25 +410,25 @@ def reduce_to_alpha(g):
     if len(g) != 6:
         raise ValueError("a 6-vector over GRADE2_BASIS is required")
     m, c11, c12, c21, c22, n = g
-    if all(is_zero_scalar(c) for c in g):
+    if not any(g):
         raise ValueError("the zero class cannot be reduced")
     h1, h2, h3, h4 = (op_h(i) for i in (1, 2, 3, 4))
     one = op_id()
-    if not (is_zero_scalar(c21) and is_zero_scalar(c22)):
+    if c21 or c22:
         tail = (h2 - one) * (h1 - one)
-        if not is_zero_scalar(c22):
+        if c22:
             op, k = (h3 - h1) * tail, c22
         else:
-            op, k = (h4 - h1) * tail, scalar_neg(c21)
-    elif not (is_zero_scalar(c11) and is_zero_scalar(c12)):
-        if not is_zero_scalar(c12):
+            op, k = (h4 - h1) * tail, -c21
+    elif c11 or c12:
+        if c12:
             op, k = (h3 - h1) * (h2 - one), c12
         else:
-            op, k = (h4 - h1) * (h2 - one), scalar_neg(c11)
-    elif not is_zero_scalar(m):
+            op, k = (h4 - h1) * (h2 - one), -c11
+    elif m:
         op, k = (h3 - h1) * (h2 - one) * (h3 - h4), m
     else:
         op, k = one, n
-    if isinstance(k, Fraction) and k.denominator == 1:
+    if type(k) is Fraction and k.denominator == 1:
         k = int(k)
     return op, k

@@ -5,10 +5,13 @@ The scalar tower has three levels, promoted automatically as needed:
     Fraction  ->  MPoly   (multivariate polynomial, rational coefficients)
               ->  RatFunc (MPoly numerator over a monic denominator in Q[t])
 
-Plain ``int`` is accepted everywhere and normalized to ``Fraction``.  Results
-always demote back to the narrowest level (a constant MPoly becomes a
-Fraction, a RatFunc with unit denominator becomes its numerator), so ``==``
-against literals behaves as expected and equality is canonical-form based.
+The operators ``+ - * / **`` are the tower's one arithmetic interface; MPoly
+and RatFunc take an int or any tower scalar on either side, and a normalized
+scalar is zero iff ``not c``.  :func:`coerce_scalar` normalizes at the
+boundaries (``int`` becomes ``Fraction``).  Results always demote back to the
+narrowest level (a constant MPoly becomes a Fraction, a RatFunc with unit
+denominator becomes its numerator), so ``==`` against literals behaves as
+expected and equality is canonical-form based.
 
 Words over a fixed :class:`Alphabet` are plain tuples of letter indices; the
 empty tuple is the unit word.  :class:`NcPoly` is a sparse word -> scalar
@@ -43,14 +46,8 @@ __all__ = [
     "Scalar",
     "var",
     "coerce_scalar",
-    "scalar_add",
-    "scalar_mul",
-    "scalar_div",
-    "scalar_neg",
-    "scalar_pow",
     "scalar_dt",
     "scalar_str",
-    "is_zero_scalar",
     "MAX_SCALAR_DIGITS",
     "Alphabet",
     "Word",
@@ -94,33 +91,115 @@ def _mono_str(m: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in m)
 
 
-def _operator(fn):
-    """A binary operator of MPoly and RatFunc: fn(self, other) for an
-    operand in the scalar tower, NotImplemented for any other."""
+def _operand(x):
+    """x as a tower scalar (an int becomes a Fraction), or None.  Dispatches
+    on type(x): isinstance(x, Fraction) goes through ABCMeta for every MPoly."""
+    t = type(x)
+    if t is Fraction or t is MPoly or t is RatFunc:
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    return None
 
-    def op(self, other):
-        if not isinstance(other, (int, Fraction, _ScalarOps)):
-            return NotImplemented
-        return fn(self, other)
 
-    return op
+def coerce_scalar(x) -> Scalar:
+    """Normalize an int, Fraction, MPoly or RatFunc into the scalar union:
+    the boundary check for values that arrive from outside the tower."""
+    c = _operand(x)
+    if c is None:
+        raise TypeError(f"not a scalar: {x!r}")
+    return c
+
+
+def _add(a, b):
+    b = _operand(b)
+    if b is None:
+        return NotImplemented
+    if type(a) is RatFunc or type(b) is RatFunc:
+        if type(a) is type(b) and a.den == b.den:
+            return _make_ratfunc(_mpoly_add(a.num, b.num), a.den)
+        na, da = _num_den(a)
+        nb, db = _num_den(b)
+        num = _mpoly_add(_mpoly_mul(na, db), _mpoly_mul(nb, da))
+        return _make_ratfunc(num, _mpoly_mul(da, db))
+    return _mpoly_add(a, b)
+
+
+def _sub(a, b):
+    b = _operand(b)
+    return NotImplemented if b is None else _add(a, -b)
+
+
+def _rsub(a, b):
+    b = _operand(b)
+    return NotImplemented if b is None else _add(-a, b)
+
+
+def _mul(a, b):
+    b = _operand(b)
+    if b is None:
+        return NotImplemented
+    if type(a) is RatFunc or type(b) is RatFunc:
+        na, da = _num_den(a)
+        nb, db = _num_den(b)
+        return _make_ratfunc(_mpoly_mul(na, nb), _mpoly_mul(da, db))
+    return _mpoly_mul(a, b)
+
+
+def _quotient(a, b) -> Scalar:
+    """a / b for tower scalars, defined when b is rational or lies in Q(t)."""
+    if type(b) is Fraction:
+        if not b:
+            raise ZeroDivisionError("scalar division by zero")
+        return _mul(a, Fraction(1) / b)
+    nb, db = _num_den(b)
+    if not _is_tpoly(nb):
+        raise ValueError(f"division by a scalar outside Q({TVAR}): {b}")
+    na, da = _num_den(a)
+    return _make_ratfunc(_mpoly_mul(na, db), _mpoly_mul(da, nb))
+
+
+def _truediv(a, b):
+    b = _operand(b)
+    return NotImplemented if b is None else _quotient(a, b)
+
+
+def _rtruediv(a, b):
+    b = _operand(b)
+    return NotImplemented if b is None else _quotient(b, a)
+
+
+def _pow(a, n):
+    """a ** n by squaring; a negative n inverts, as / does."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        return _quotient(Fraction(1), _pow(a, -n))
+    out: Scalar = Fraction(1)
+    while n:
+        if n & 1:
+            out = _mul(a, out)
+        n >>= 1
+        if n:
+            a = _mul(a, a)
+    return out
 
 
 class _ScalarOps:
-    """The operators MPoly and RatFunc share; each delegates to the
-    union-level scalar functions."""
+    """The operators MPoly and RatFunc share, one implementation each (in
+    the functions above, ``a`` is self).  A foreign operand (an NcPoly, a
+    str, a float) gets NotImplemented, so ``c * poly`` still scales and
+    ``w1 + "a"`` raises TypeError."""
 
     __slots__ = ()
 
-    __add__ = __radd__ = _operator(lambda a, b: scalar_add(a, b))
-    __sub__ = _operator(lambda a, b: scalar_add(a, scalar_neg(b)))
-    __rsub__ = _operator(lambda a, b: scalar_add(b, scalar_neg(a)))
-    __mul__ = __rmul__ = _operator(lambda a, b: scalar_mul(a, b))
-    __truediv__ = _operator(lambda a, b: scalar_div(a, b))
-    __rtruediv__ = _operator(lambda a, b: scalar_div(b, a))
-
-    def __pow__(self, n: int):
-        return scalar_pow(self, n)
+    __add__ = __radd__ = _add
+    __sub__ = _sub
+    __rsub__ = _rsub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _truediv
+    __rtruediv__ = _rtruediv
+    __pow__ = _pow
 
     def __str__(self):
         return scalar_str(self)
@@ -183,7 +262,7 @@ class RatFunc(_ScalarOps):
         self.den = den  # MPoly in TVAR only, monic, degree >= 1
 
     def __neg__(self):
-        return RatFunc(scalar_neg(self.num), self.den)
+        return RatFunc(-self.num, self.den)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -204,22 +283,6 @@ def var(name: str) -> MPoly:
     return MPoly.from_var(name)
 
 
-def coerce_scalar(x) -> Scalar:
-    """Normalize int/Fraction/MPoly/RatFunc into the scalar union."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, MPoly, RatFunc)):
-        return x
-    raise TypeError(f"not a scalar: {x!r}")
-
-
-def is_zero_scalar(x) -> bool:
-    if type(x) is Fraction:
-        return not x
-    x = coerce_scalar(x)
-    return isinstance(x, Fraction) and x == 0
-
-
 def _make_mpoly(terms: dict) -> Scalar:
     """Normalize a mono->Fraction dict, demoting constants."""
     clean = {m: c for m, c in terms.items() if c != 0}
@@ -231,9 +294,9 @@ def _make_mpoly(terms: dict) -> Scalar:
 
 
 def _mpoly_terms(x: Scalar) -> dict:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return {(): x} if x else {}
-    assert isinstance(x, MPoly)
+    assert type(x) is MPoly
     return x.terms
 
 
@@ -298,16 +361,16 @@ def _up_gcd(a: tuple, b: tuple) -> tuple:
 
 
 def _is_tpoly(x) -> bool:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return True
-    if isinstance(x, MPoly):
+    if type(x) is MPoly:
         return all(not m or (len(m) == 1 and m[0][0] == TVAR) for m in x.terms)
     return False
 
 
 def _num_den(x: Scalar) -> tuple:
     """Split a scalar into (numerator, denominator in Q[t])."""
-    if isinstance(x, RatFunc):
+    if type(x) is RatFunc:
         return x.num, x.den
     return x, Fraction(1)
 
@@ -370,13 +433,11 @@ def _make_laurent(num, den: MPoly) -> Scalar:
 
 def _make_ratfunc(num, den) -> Scalar:
     """Normalize num/den: cancel the gcd, make den monic, demote."""
-    if isinstance(den, Fraction):
-        if den == 0:
-            raise ZeroDivisionError("scalar division by zero")
+    if type(den) is Fraction:
         return _mpoly_mul(num, Fraction(1) / den)
     if not _is_tpoly(den):
         raise ValueError(f"denominator must be a polynomial in {TVAR}: {den}")
-    if is_zero_scalar(num):
+    if not num:
         return Fraction(0)
     if len(den.terms) == 1:
         return _make_laurent(num, den)
@@ -407,78 +468,12 @@ def _make_ratfunc(num, den) -> Scalar:
     return RatFunc(num, _up_to_scalar(dup))
 
 
-# -- union-level arithmetic -----------------------------------------------
-
-
-def scalar_add(a, b) -> Scalar:
-    if type(a) is Fraction and type(b) is Fraction:
-        return a + b
-    a, b = coerce_scalar(a), coerce_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    if isinstance(a, RatFunc) and isinstance(b, RatFunc) and a.den == b.den:
-        return _make_ratfunc(_mpoly_add(a.num, b.num), a.den)
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        na, da = _num_den(a)
-        nb, db = _num_den(b)
-        num = _mpoly_add(_mpoly_mul(na, db), _mpoly_mul(nb, da))
-        return _make_ratfunc(num, _mpoly_mul(da, db))
-    return _mpoly_add(a, b)
-
-
-def scalar_neg(a) -> Scalar:
-    return -coerce_scalar(a)
-
-
-def scalar_mul(a, b) -> Scalar:
-    if type(a) is Fraction and type(b) is Fraction:
-        return a * b
-    a, b = coerce_scalar(a), coerce_scalar(b)
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    if isinstance(a, RatFunc) or isinstance(b, RatFunc):
-        na, da = _num_den(a)
-        nb, db = _num_den(b)
-        return _make_ratfunc(_mpoly_mul(na, nb), _mpoly_mul(da, db))
-    return _mpoly_mul(a, b)
-
-
-def scalar_div(a, b) -> Scalar:
-    """a / b, defined when b is rational or lies in Q(t)."""
-    a, b = coerce_scalar(a), coerce_scalar(b)
-    if isinstance(b, Fraction):
-        if b == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return scalar_mul(a, Fraction(1) / b)
-    nb, db = _num_den(b)
-    if not _is_tpoly(nb):
-        raise ValueError(f"division by a scalar outside Q({TVAR}): {b}")
-    if is_zero_scalar(nb):
-        raise ZeroDivisionError("scalar division by zero")
-    na, da = _num_den(a)
-    return _make_ratfunc(_mpoly_mul(na, db), _mpoly_mul(da, nb))
-
-
-def scalar_pow(a, n: int) -> Scalar:
-    a = coerce_scalar(a)
-    if n < 0:
-        return scalar_div(Fraction(1), scalar_pow(a, -n))
-    out: Scalar = Fraction(1)
-    while n:
-        if n & 1:
-            out = scalar_mul(out, a)
-        n >>= 1
-        if n:
-            a = scalar_mul(a, a)
-    return out
-
-
 def scalar_dt(a) -> Scalar:
     """Formal derivative d/dt (all other indeterminates are constants)."""
     a = coerce_scalar(a)
-    if isinstance(a, Fraction):
+    if type(a) is Fraction:
         return Fraction(0)
-    if isinstance(a, MPoly):
+    if type(a) is MPoly:
         out: dict = {}
         for m, c in a.terms.items():
             for idx, (v, e) in enumerate(m):
@@ -489,11 +484,7 @@ def scalar_dt(a) -> Scalar:
                     break
         return _make_mpoly(out)
     n, d = a.num, a.den
-    num = _mpoly_add(
-        _mpoly_mul(scalar_dt(n), d),
-        scalar_neg(_mpoly_mul(n, scalar_dt(d))),
-    )
-    return _make_ratfunc(num, _mpoly_mul(d, d))
+    return _make_ratfunc(scalar_dt(n) * d - n * scalar_dt(d), d * d)
 
 
 # -- printing ---------------------------------------------------------------
@@ -552,12 +543,12 @@ def _join_pieces(pieces) -> str:
 def scalar_str(x) -> str:
     """Canonical text form: deterministic, exact, reparseable digits."""
     x = coerce_scalar(x)
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return str(x)
-    if isinstance(x, MPoly):
+    if type(x) is MPoly:
         return _join_pieces(_mpoly_pieces(x))
     num, den = x.num, x.den
-    if isinstance(num, Fraction):
+    if type(num) is Fraction:
         npart = str(num) if num.denominator == 1 else f"({num})"
         if num < 0:
             npart = f"({num})"
@@ -649,7 +640,7 @@ class NcPoly:
         clean: dict = {}
         for w, c in dict(terms).items():
             c = coerce_scalar(c)
-            if not is_zero_scalar(c):
+            if c:
                 clean[tuple(w)] = c
         self.terms = clean
 
@@ -718,21 +709,17 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_alphabet(other)
-        negated = ((w, scalar_neg(c)) for w, c in other.terms.items())
+        negated = ((w, -c) for w, c in other.terms.items())
         return collect(self.alphabet, negated, self.terms)
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly(
-            self.alphabet, {w: scalar_neg(c) for w, c in self.terms.items()}
-        )
+        return NcPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
 
     def scale(self, s) -> "NcPoly":
         s = coerce_scalar(s)
-        if is_zero_scalar(s):
+        if not s:
             return NcPoly.zero(self.alphabet)
-        return NcPoly(
-            self.alphabet, {w: scalar_mul(s, c) for w, c in self.terms.items()}
-        )
+        return NcPoly(self.alphabet, {w: s * c for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, NcPoly):
@@ -763,11 +750,11 @@ class NcPoly:
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             c = self.terms[w]
             wtext = word_str(self.alphabet, w)
-            if isinstance(c, Fraction):
+            if type(c) is Fraction:
                 pieces.append(_fraction_piece(c, wtext))
             elif not wtext:
                 pieces.append((False, f"({scalar_str(c)})"))
-            elif isinstance(c, MPoly) and len(c.terms) == 1:
+            elif type(c) is MPoly and len(c.terms) == 1:
                 (m, f), = c.terms.items()
                 if abs(f) == 1 and m:
                     pieces.append((f < 0, f"{_mono_str(m)}*{wtext}"))
@@ -785,19 +772,18 @@ class NcPoly:
 
 def collect(alphabet: Alphabet, pairs: Iterable, start: Mapping = ()) -> NcPoly:
     """The NcPoly sum of ``start`` (a word -> scalar mapping) and the
-    (word, scalar) pairs: each pair is added with ``scalar_add``, and a word
-    whose sum is zero is dropped.  Scalars must be normalized (Fraction,
-    MPoly or RatFunc, never a bare int), as every ``scalar_*`` result and
-    every NcPoly coefficient is; the result skips the constructor's
-    normalization pass."""
+    (word, scalar) pairs: each pair is added with ``+``, and a word whose
+    sum is zero is dropped.  Scalars must be normalized (Fraction, MPoly or
+    RatFunc, never a bare int), as every operator result and every NcPoly
+    coefficient is; the result skips the constructor's normalization pass."""
     out = dict(start)
     for w, c in pairs:
         if w in out:
-            c = scalar_add(out[w], c)
-        if is_zero_scalar(c):
-            out.pop(w, None)
-        else:
+            c = out[w] + c
+        if c:
             out[w] = c
+        else:
+            out.pop(w, None)
     p = NcPoly.__new__(NcPoly)
     p.alphabet = alphabet
     p.terms = out
@@ -808,7 +794,7 @@ def concat_mul(p: NcPoly, q: NcPoly) -> NcPoly:
     """Bilinear extension of word concatenation (the associative product)."""
     p._check_alphabet(q)
     return collect(p.alphabet, (
-        (wp + wq, scalar_mul(cp, cq))
+        (wp + wq, cp * cq)
         for wp, cp in p.terms.items()
         for wq, cq in q.terms.items()
     ))
@@ -854,9 +840,9 @@ def shuffle(p: NcPoly, q: NcPoly) -> NcPoly:
     def pairs():
         for wp, cp in p.terms.items():
             for wq, cq in q.terms.items():
-                c = scalar_mul(cp, cq)
+                c = cp * cq
                 for w, mult in shuffle_words(wp, wq).items():
-                    yield w, scalar_mul(c, mult)
+                    yield w, c * mult
 
     return collect(p.alphabet, pairs())
 
@@ -865,12 +851,8 @@ def inner(p: NcPoly, q: NcPoly) -> Scalar:
     """Canonical symmetric pairing: words are orthonormal."""
     p._check_alphabet(q)
     small, large = (p, q) if len(p.terms) <= len(q.terms) else (q, p)
-    total: Scalar = Fraction(0)
-    for w, c in small.terms.items():
-        d = large.terms.get(w)
-        if d is not None:
-            total = scalar_add(total, scalar_mul(c, d))
-    return total
+    terms = large.terms
+    return sum((c * terms[w] for w, c in small.terms.items() if w in terms), Fraction(0))
 
 
 def homogeneous_part(p: NcPoly, k: int) -> NcPoly:

@@ -26,7 +26,7 @@ from math import comb, lcm, log10
 
 from .freegrp import GroupWord, commutator, gw_inv
 from .liealg import LieTree
-from .ncalg import TVAR, Alphabet, NcPoly, scalar_div, scalar_pow, shuffle, var
+from .ncalg import TVAR, Alphabet, NcPoly, shuffle, var
 from .ncalg import MAX_SCALAR_DIGITS, _check_digits, _mpoly_terms, _num_den
 
 __all__ = [
@@ -538,8 +538,10 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
             base = ev(n.base)
             _check_digits("power", abs(n.exponent) * log10(_height(base)))
             if base.max_degree() <= 0:
-                c = scalar_pow(base.coeff(()), n.exponent)
-                return NcPoly.one(alphabet).scale(c)
+                c = base.coeff(())
+                if n.exponent < 0 and not c:
+                    raise ZeroDivisionError("scalar division by zero")
+                return NcPoly.one(alphabet).scale(c ** n.exponent)
             if n.exponent < 0:
                 raise ValueError("negative powers need a scalar base")
             out, e = NcPoly.one(alphabet), n.exponent
@@ -562,7 +564,10 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
             den = ev(n.den)
             if den.max_degree() > 0:
                 raise ValueError("division is only defined by scalars")
-            return num.scale(scalar_div(Fraction(1), den.coeff(())))
+            c = den.coeff(())
+            if not c:
+                raise ZeroDivisionError("scalar division by zero")
+            return num.scale(Fraction(1) / c)
         if isinstance(n, PBracket):
             a, b = ev(n.left), ev(n.right)
             return a * b - b * a

@@ -9,7 +9,7 @@ import pytest
 
 from chenlie.liealg import LieTree, expand, hall_basis
 from chenlie.freegrp import GroupWord, commutator
-from chenlie.ncalg import TVAR, Alphabet, NcPoly, scalar_add, scalar_div, scalar_mul, var
+from chenlie.ncalg import TVAR, Alphabet, NcPoly, var
 
 XY = Alphabet(("x", "y"))
 XYZ = Alphabet(("x", "y", "z"))
@@ -60,10 +60,10 @@ def random_scalar(rng: random.Random, kind: str):
     f = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
     if kind == "fraction":
         return f
-    p = scalar_add(scalar_mul(var("a"), f), rng.choice([0, 1, var(TVAR)]))
+    p = var("a") * f + rng.choice([0, 1, var(TVAR)])
     if kind == "mpoly":
         return p
-    return scalar_div(p, scalar_add(var(TVAR), 1))
+    return p / (var(TVAR) + 1)
 
 
 def random_lie_element(rng: random.Random, alphabet: Alphabet, degrees,

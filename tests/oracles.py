@@ -26,9 +26,6 @@ from chenlie.ncalg import (
     Scalar,
     Word,
     homogeneous_part,
-    is_zero_scalar,
-    scalar_add,
-    scalar_mul,
     shuffle_words,
 )
 
@@ -38,12 +35,9 @@ MERSENNE31 = 2**31 - 1
 def shuffle_inner(p: NcPoly, u: Word, v: Word) -> Scalar:
     """<p, u * v> for the shuffle u * v of two words, without building the
     shuffle polynomial."""
-    total: Scalar = Fraction(0)
-    for w, mult in shuffle_words(u, v).items():
-        c = p.terms.get(w)
-        if c is not None:
-            total = scalar_add(total, scalar_mul(c, mult))
-    return total
+    terms = p.terms
+    return sum((terms[w] * mult for w, mult in shuffle_words(u, v).items() if w in terms),
+               Fraction(0))
 
 
 def magnus_exp(delta, n: int) -> TruncSeries:
@@ -66,7 +60,7 @@ def is_lie_ree(p: NcPoly) -> bool:
     shuffle u * v with u, v nonempty.  Cost grows like m^k per part."""
     if p.is_zero():
         return True
-    if not is_zero_scalar(p.coeff(())):
+    if p.coeff(()):
         return False
     alphabet = p.alphabet
     for k in p.degrees():
@@ -76,7 +70,7 @@ def is_lie_ree(p: NcPoly) -> bool:
         for r in range(1, k):
             for u in alphabet.words(r):
                 for v in alphabet.words(k - r):
-                    if not is_zero_scalar(shuffle_inner(part, u, v)):
+                    if shuffle_inner(part, u, v):
                         return False
     return True
 
@@ -93,7 +87,7 @@ def is_grouplike_sweep(s) -> bool:
             cu = s.poly.coeff(u)
             for ls in range(1, n - r + 1):
                 for v in alphabet.words(ls):
-                    if scalar_mul(cu, s.poly.coeff(v)) != shuffle_inner(s.poly, u, v):
+                    if cu * s.poly.coeff(v) != shuffle_inner(s.poly, u, v):
                         return False
     return True
 

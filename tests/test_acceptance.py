@@ -45,9 +45,6 @@ from chenlie.ncalg import (
     NcPoly,
     TVAR,
     inner,
-    scalar_add,
-    scalar_mul,
-    scalar_pow,
     scalar_str,
     shuffle,
     shuffle_words,
@@ -178,21 +175,19 @@ def test_criterion_05_integral_axioms():
         # A2: concatenation is a prefix/suffix convolution
         conv = Fraction(0)
         for s in range(len(word) + 1):
-            conv = scalar_add(conv, scalar_mul(
-                evaluate(m5, alpha, NcPoly.from_word(XY, word[:s])),
-                evaluate(m5, beta, NcPoly.from_word(XY, word[s:]))))
+            conv = conv + (evaluate(m5, alpha, NcPoly.from_word(XY, word[:s]))
+                           * evaluate(m5, beta, NcPoly.from_word(XY, word[s:])))
         assert evaluate(m5, gw_mul(alpha, beta), poly) == conv
         # A3: path reversal reverses the word with sign (-1)^r
         from chenlie.freegrp import gw_inv
-        assert evaluate(m5, gw_inv(alpha), poly) == scalar_mul(
-            evaluate(m5, alpha, NcPoly.from_word(XY, word[::-1])),
-            (-1) ** len(word))
+        assert evaluate(m5, gw_inv(alpha), poly) == \
+            evaluate(m5, alpha, NcPoly.from_word(XY, word[::-1])) * (-1) ** len(word)
         # A4: products of integrals satisfy the shuffle relations
         r = rng.randint(1, 4)
         u = tuple(rng.randrange(2) for _ in range(r))
         v = tuple(rng.randrange(2) for _ in range(rng.randint(1, 5 - r)))
         pu, pv = NcPoly.from_word(XY, u), NcPoly.from_word(XY, v)
-        lhs = scalar_mul(evaluate(m5, alpha, pu), evaluate(m5, alpha, pv))
+        lhs = evaluate(m5, alpha, pu) * evaluate(m5, alpha, pv)
         assert lhs == evaluate(m5, alpha, shuffle(pu, pv))
     _pass(5, "axioms A1-A4 hold on randomized inputs; canonical values "
              "1/n! through 1/720 exact")
@@ -263,8 +258,7 @@ def test_criterion_08_pairing_matrix_nonsingular():
             for e in exps:
                 val = Fraction(0)
                 for w, c in e.items():
-                    val = scalar_add(val,
-                                     scalar_mul(c, pair_graded(table, d, w)))
+                    val = val + c * pair_graded(table, d, w)
                 row.append(val)
             mat.append(row)
         n = len(exps)
@@ -281,10 +275,10 @@ def test_criterion_09_integrand_identity():
           + NcPoly.letter(conn.forms, 1).scale(al2))
     t = var(TVAR)
     for k in range(2, 7):
-        lhs = melnikov_integrand(conn, om, k).scale(scalar_pow(t, k - 1))
+        lhs = melnikov_integrand(conn, om, k).scale(t ** (k - 1))
         rhs = NcPoly.zero(conn.forms)
         for i in range(k + 1):
-            coef = scalar_mul(scalar_pow(al1, i), scalar_pow(al2, k - i))
+            coef = al1 ** i * al2 ** (k - i)
             rhs = rhs + pk_closed_form(W, k, i).scale(coef)
         assert lhs == rhs, k
     _pass(9, "t^(k-1) x nested integrand matches the weighted word sums "
@@ -296,12 +290,9 @@ def test_criterion_10_ck_closed_form_and_recursion():
     assert scalar_str(ck(W, 2)) == "w2 - w1"
     for k in range(2, 7):
         assert ck(W, k) == ck_closed_form(W, k), k
-    shifted = WeightPair(scalar_add(scalar_add(W.w1, W.w2), -1), W.w2)
+    shifted = WeightPair(W.w1 + W.w2 - 1, W.w2)
     for k in range(3, 7):
-        lhs = ck_closed_form(W, k)
-        rhs = scalar_mul(scalar_add(W.w2, scalar_mul(W.w1, -1)),
-                         ck_closed_form(shifted, k - 1))
-        assert lhs == rhs, k
+        assert ck_closed_form(W, k) == (W.w2 - W.w1) * ck_closed_form(shifted, k - 1), k
     for w1, w2 in ((Fraction(1, 3), Fraction(1, 2)),
                    (Fraction(1, 4), Fraction(2, 3)),
                    (Fraction(-1, 2), Fraction(1, 5))):
@@ -328,20 +319,19 @@ def test_criterion_12_monodromy_reduction():
     assert picard_lefschetz(2, DELTA[0]) == (1, -1, 0, 0)
 
     def vsub(u, v):
-        return tuple(scalar_add(x, scalar_mul(y, -1)) for x, y in zip(u, v))
+        return tuple(x - y for x, y in zip(u, v))
 
     def vscale(u, c):
-        return tuple(scalar_mul(x, c) for x in u)
+        return tuple(x * c for x in u)
 
     def vadd(u, v):
-        return tuple(scalar_add(x, y) for x, y in zip(u, v))
+        return tuple(x + y for x, y in zip(u, v))
 
     m, a1, a2, b1, b2, n = (var(s) for s in ("m", "a1", "a2", "b1", "b2", "n"))
     g = (m, a1, a2, b1, b2, n)
     # variation of the general element under the first two twists
     assert vsub(pl_grade2(1, g), g) == (0, b1, b2, 0, 0, 0)
-    assert vsub(pl_grade2(2, g), g) == \
-        (0, 0, 0, scalar_mul(a1, -1), scalar_mul(a2, -1), 0)
+    assert vsub(pl_grade2(2, g), g) == (0, 0, 0, -a1, -a2, 0)
     # with the core absent, the outer twists move g by [d_i, b]
     g0 = (Fraction(0), a1, a2, b1, b2, n)
     b_vec = vadd(vscale(ALPHA[0], b1), vscale(ALPHA[1], b2))

@@ -279,6 +279,43 @@ def test_one_letter_canonical_model_of_high_degree(capsys):
     assert time.perf_counter() - start < 5
 
 
+def test_oversized_evaluations_are_a_one_line_error(capsys):
+    """x^1000 along x visits 501 501 slot pairs and a 66 000-letter loop
+    against x x visits 396 000, both over the limit of 100 000; the
+    canonical model of degree 1800 needs 1/1800!, which has 5080 digits."""
+    for argv, text in (
+        (["eval", "x", "x^1000"], "could visit 501501 slot pairs, over the limit of 100000"),
+        (["eval", "x^66000", "x x"], "could visit 396000 slot pairs, over the limit of 100000"),
+        (["eval", "x", "x^1800"], "could reach 5080 digits in a coefficient, over the limit of 4300"),
+    ):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.endswith(f"{text}\n")
+        assert len(err.splitlines()) == 1
+
+
+def test_one_letter_hall_sets_skip_their_empty_levels(capsys):
+    """On one letter every degree past 1 is empty, so islie of a high power
+    answers, or is refused by the Hall limit, without walking the levels."""
+    start = time.perf_counter()
+    assert ok(capsys, "islie", "x^4301") == "false\n"
+    code, out, err = invoke(capsys, "islie", "x^20000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out == ""
+    assert err == ("error: the Hall set on 1 letters up to degree 20000 has at "
+                   "least 5001 elements (empty degrees count one), over the "
+                   "limit of 5000\n")
+
+
+def test_division_by_zero_is_named(capsys):
+    for text in ("x/0", "x/(t - t)", "2 x/(w1 - w1)"):
+        code, out, err = invoke(capsys, "expand", text)
+        assert code == 1 and out == ""
+        assert err == "error: scalar division by zero\n"
+
+
 def test_oversized_polynomials_are_a_one_line_error(capsys):
     # x^600 # x^600 has one word, but its shuffle table has 601^2 entries
     for argv in (["expand", "x^1000000000"], ["expand", "(x+y)^40"],
@@ -450,9 +487,7 @@ _COMMANDS = st.one_of(
     st.tuples(st.sampled_from(["expand", "islie", "project"]), _POLYS),
     st.tuples(st.sampled_from(["shuffle", "pair"]), _POLYS, _POLYS),
     st.tuples(st.sampled_from(["magnus", "lcs"]), st.just("-N"), _DEGREES, _GWS),
-    # eval's cost grows with the degree of the polynomial and the length of
-    # the loop, and no limit bounds either yet, so its texts have no powers
-    st.tuples(st.just("eval"), *(s.filter(lambda t: "^" not in t) for s in (_GWS, _POLYS))),
+    st.tuples(st.just("eval"), _GWS, _POLYS),
 )
 
 

@@ -39,9 +39,6 @@ from chenlie.ncalg import (
     concat_mul,
     homogeneous_part,
     inner,
-    scalar_add,
-    scalar_mul,
-    scalar_pow,
     scalar_str,
     var,
 )
@@ -52,11 +49,11 @@ T = var(TVAR)
 
 
 def vadd(u, v):
-    return tuple(scalar_add(a, b) for a, b in zip(u, v))
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def vscale(u, c):
-    return tuple(scalar_mul(a, c) for a in u)
+    return tuple(a * c for a in u)
 
 
 def vsub(u, v):
@@ -86,10 +83,10 @@ def test_derive_diagonal_forms():
     assert scalar_str(d.coeff((0,))) == "w1/t"
     assert d.coeff((1,)) == 0
     # scalar coefficients are differentiated in t
-    p = om1.scale(scalar_pow(T, 2))
+    p = om1.scale(T ** 2)
     dp = derive(conn, p)
     # d/dt(t^2) om1 + t^2 (w1/t) om1 = (2t + w1 t) om1
-    assert dp.coeff((0,)) == scalar_add(scalar_mul(T, 2), scalar_mul(W.w1, T))
+    assert dp.coeff((0,)) == T * 2 + W.w1 * T
 
 
 def test_derive_leibniz(rng):
@@ -141,10 +138,10 @@ def test_integrand_matches_weighted_word_sums():
     conn = Connection.diagonal((W.w1, W.w2))
     om = (NcPoly.letter(OM, 0).scale(al1) + NcPoly.letter(OM, 1).scale(al2))
     for k in (2, 3, 4):
-        lhs = melnikov_integrand(conn, om, k).scale(scalar_pow(T, k - 1))
+        lhs = melnikov_integrand(conn, om, k).scale(T ** (k - 1))
         rhs = NcPoly.zero(OM)
         for i in range(k + 1):
-            coef = scalar_mul(scalar_pow(al1, i), scalar_pow(al2, k - i))
+            coef = al1 ** i * al2 ** (k - i)
             rhs = rhs + pk_closed_form(W, k, i).scale(coef)
         assert lhs == rhs
 
@@ -172,15 +169,15 @@ def test_diagonal_work_skips_the_euclidean_gcd(monkeypatch):
                               (WeightPair(Fraction(1, 3), Fraction(-2, 5)),
                                NcPoly.letter(OM, 0) - NcPoly.letter(OM, 1).scale(3), 8)):
         conn = Connection.diagonal((weights.w1, weights.w2))
-        lhs = melnikov_integrand(conn, omega, k).scale(scalar_pow(T, k - 1))
+        lhs = melnikov_integrand(conn, omega, k).scale(T ** (k - 1))
         a1, a2 = omega.coeff((0,)), omega.coeff((1,))
         rhs = NcPoly.zero(OM)
         for i in range(k + 1):
-            coef = scalar_mul(scalar_pow(a1, i), scalar_pow(a2, k - i))
+            coef = a1 ** i * a2 ** (k - i)
             rhs = rhs + pk_closed_form(weights, k, i).scale(coef)
         assert lhs == rhs
     assert ck(W, 7) == ck_closed_form(W, 7)
-    conn = Connection(OM, scalar_add(scalar_mul(T, T), -1), ((1, 0), (0, 2)))
+    conn = Connection(OM, T * T - 1, ((1, 0), (0, 2)))
     with pytest.raises(_EuclideanGcdCalled):
         melnikov_integrand(conn, NcPoly.letter(OM, 0), 2)
 
@@ -207,9 +204,7 @@ def test_pk_pure_word_coefficient():
     p = pk_closed_form(W, 3, 0)
     ((word, c),) = list(p.items())
     assert word == (1, 1, 1)
-    expected = scalar_mul(scalar_add(scalar_mul(W.w2, 2), -1), W.w2)
-    expected = scalar_mul(expected, 1)
-    assert c == scalar_mul(scalar_add(scalar_mul(W.w2, 2), -1), W.w2)
+    assert c == (W.w2 * 2 - 1) * W.w2
 
 
 def test_pk_invalid_part():
@@ -233,9 +228,7 @@ def test_ck_golden_values():
     assert scalar_str(ck(W, 2)) == "w2 - w1"
     got = ck(W, 3)
     # C_3 = (w2 - w1)(1 - w1)
-    expected = scalar_mul(scalar_add(W.w2, scalar_mul(W.w1, -1)),
-                          scalar_add(1, scalar_mul(W.w1, -1)))
-    assert got == expected
+    assert got == (W.w2 - W.w1) * (1 - W.w1)
 
 
 def test_ck_matches_closed_form():
@@ -245,12 +238,9 @@ def test_ck_matches_closed_form():
 
 def test_ck_recursion():
     """C_k(w1, w2) = (w2 - w1) C_{k-1}(w1 + w2 - 1, w2)."""
-    shifted = WeightPair(scalar_add(scalar_add(W.w1, W.w2), -1), W.w2)
+    shifted = WeightPair(W.w1 + W.w2 - 1, W.w2)
     for k in range(3, 7):
-        lhs = ck_closed_form(W, k)
-        rhs = scalar_mul(scalar_add(W.w2, scalar_mul(W.w1, -1)),
-                         ck_closed_form(shifted, k - 1))
-        assert lhs == rhs
+        assert ck_closed_form(W, k) == (W.w2 - W.w1) * ck_closed_form(shifted, k - 1)
 
 
 def test_ck_witness_nonzero():
@@ -374,8 +364,7 @@ def test_variation_identities_h1_h2():
     grade-2 element g with a = a1 A1 + a2 A2, b = b1 A1 + b2 A2."""
     g, (m, a1, a2, b1, b2, n) = _symbolic_g()
     assert vsub(pl_grade2(1, g), g) == (0, b1, b2, 0, 0, 0)
-    neg = scalar_mul(a1, -1), scalar_mul(a2, -1)
-    assert vsub(pl_grade2(2, g), g) == (0, 0, 0, neg[0], neg[1], 0)
+    assert vsub(pl_grade2(2, g), g) == (0, 0, 0, -a1, -a2, 0)
 
 
 def test_variation_identities_h3_h4_vanishing_core():
@@ -396,7 +385,7 @@ def test_variation_identities_h3_h4_pure_core():
     assert vsub(pl_grade2(3, g0), g0) == vscale(wedge(DELTA[0], DELTA[2]), m)
     assert vsub(pl_grade2(4, g0), g0) == vscale(wedge(DELTA[0], DELTA[3]), m)
     diff = vsub(pl_grade2(3, g0), pl_grade2(4, g0))
-    assert diff == (0, scalar_mul(m, -1), m, 0, 0, 0)
+    assert diff == (0, -m, m, 0, 0, 0)
     alpha_diff = vsub(ALPHA[1], ALPHA[0])
     assert diff == vscale(wedge(DELTA[0], alpha_diff), m)
 

@@ -19,18 +19,12 @@ from chenlie.ncalg import (
     NcPoly,
     RatFunc,
     TVAR,
-    coerce_scalar,
     collect,
     concat_mul,
     default_letters,
     homogeneous_part,
     inner,
-    is_zero_scalar,
-    scalar_add,
-    scalar_div,
     scalar_dt,
-    scalar_mul,
-    scalar_pow,
     scalar_str,
     shuffle,
     shuffle_words,
@@ -47,46 +41,47 @@ XY = Alphabet(("x", "y"))
 
 def test_variables_and_demotion():
     w1, w2 = var("w1"), var("w2")
-    assert isinstance(scalar_add(w1, w2), MPoly)
+    assert isinstance(w1 + w2, MPoly)
     # subtracting a polynomial from itself demotes to an exact Fraction
-    diff = scalar_add(scalar_mul(w1, w2), scalar_mul(scalar_mul(w1, w2), -1))
+    diff = w1 * w2 - w1 * w2
     assert diff == Fraction(0) and isinstance(diff, Fraction)
-    assert scalar_div(scalar_mul(w1, 6), 3) == scalar_mul(w1, 2)
+    assert w1 * 6 / 3 == w1 * 2
 
 
 def test_rational_function_cancellation():
     t = var(TVAR)
     # (t^2 - 1) / (t - 1) cancels down to the polynomial t + 1
-    num = scalar_add(scalar_mul(t, t), -1)
-    den = scalar_add(t, -1)
-    q = scalar_div(num, den)
+    q = (t * t - 1) / (t - 1)
     assert isinstance(q, MPoly)
-    assert q == scalar_add(t, 1)
+    assert q == t + 1
     # a genuine rational function stays one, with exact round trip
-    r = scalar_div(1, t)
+    r = 1 / t
     assert isinstance(r, RatFunc)
-    assert scalar_mul(r, t) == Fraction(1)
+    assert r * t == Fraction(1)
 
 
 def test_scalar_division_by_zero():
+    t = var(TVAR)
+    with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+        var("w1") / 0
+    with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+        (t + 1) / (t - t)
     with pytest.raises(ZeroDivisionError):
-        scalar_div(var("w1"), 0)
-    with pytest.raises(ZeroDivisionError):
-        scalar_div(1, scalar_add(var(TVAR), scalar_mul(var(TVAR), -1)))
+        1 / (t - t)  # a Fraction divisor: Fraction's own operator
 
 
 def test_scalar_pow_negative_exponent():
     t = var(TVAR)
-    assert scalar_mul(scalar_pow(t, -2), scalar_pow(t, 2)) == Fraction(1)
-    assert scalar_pow(Fraction(2), -1) == Fraction(1, 2)
+    assert t ** -2 * t ** 2 == Fraction(1)
+    assert Fraction(2) ** -1 == Fraction(1, 2)
 
 
 def test_scalar_dt_basics():
     t = var(TVAR)
     assert scalar_dt(Fraction(5)) == 0
-    assert scalar_dt(scalar_pow(t, 3)) == scalar_mul(scalar_pow(t, 2), 3)
+    assert scalar_dt(t ** 3) == t ** 2 * 3
     # d/dt (1/t) = -1/t^2
-    assert scalar_dt(scalar_div(1, t)) == scalar_div(-1, scalar_pow(t, 2))
+    assert scalar_dt(1 / t) == -1 / t ** 2
     # other indeterminates are constants for d/dt
     assert scalar_dt(var("w1")) == 0
 
@@ -94,36 +89,34 @@ def test_scalar_dt_basics():
 small_scalars = st.one_of(
     st.fractions(min_value=-9, max_value=9, max_denominator=4),
     st.sampled_from([var("w1"), var("w2"), var(TVAR)]),
-    st.builds(lambda a, b: scalar_add(var(a), coerce_scalar(b)),
-              st.sampled_from(["w1", TVAR]), st.integers(-3, 3)),
+    st.builds(lambda a, b: var(a) + b, st.sampled_from(["w1", TVAR]), st.integers(-3, 3)),
 )
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_scalars, small_scalars, small_scalars)
 def test_scalar_ring_laws(a, b, c):
-    assert scalar_add(a, b) == scalar_add(b, a)
-    assert scalar_mul(a, b) == scalar_mul(b, a)
-    assert scalar_mul(a, scalar_add(b, c)) == scalar_add(
-        scalar_mul(a, b), scalar_mul(a, c))
-    assert scalar_mul(scalar_mul(a, b), c) == scalar_mul(a, scalar_mul(b, c))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_scalars, small_scalars)
 def test_scalar_dt_leibniz(a, b):
-    lhs = scalar_dt(scalar_mul(a, b))
-    rhs = scalar_add(scalar_mul(scalar_dt(a), b), scalar_mul(a, scalar_dt(b)))
-    assert lhs == rhs
+    assert scalar_dt(a * b) == scalar_dt(a) * b + a * scalar_dt(b)
 
 
 def test_scalar_str_goldens():
     w1, w2, t = var("w1"), var("w2"), var(TVAR)
-    assert scalar_str(scalar_add(w2, scalar_mul(w1, -1))) == "w2 - w1"
-    assert scalar_str(scalar_mul(w1, w2)) == "w1*w2"
-    assert scalar_str(scalar_div(w1, t)) == "w1/t"
+    assert scalar_str(w2 - w1) == "w2 - w1"
+    assert scalar_str(w1 * w2) == "w1*w2"
+    assert scalar_str(w1 / t) == "w1/t"
     assert scalar_str(Fraction(-3, 2)) == "-3/2"
-    assert scalar_str(scalar_pow(scalar_add(t, -1), 2)) == "1 - 2*t + t^2"
+    assert scalar_str((t - 1) ** 2) == "1 - 2*t + t^2"
+    r = w1 / t
+    assert str(r) == repr(r) == scalar_str(r) == "w1/t"
 
 
 # ------------------------------------------------------------------ words
@@ -251,13 +244,11 @@ def test_poly_printing_goldens():
     assert str(NcPoly.one(XY)) == "1"
     assert str(concat_mul(x, y).scale(Fraction(3, 2))) == "3*x y/2"
     assert str(concat_mul(x, y).scale(w2)) == "w2*x y"
-    assert str(x.scale(scalar_add(w2, scalar_mul(w1, -1)))) == "(w2 - w1)*x"
-    assert str(x.scale(scalar_div(w1, t))) == "(w1/t)*x"
-    assert str(x.scale(scalar_div(-2, t))) == "((-2)/t)*x"
-    assert str(x.scale(scalar_div(Fraction(1, 2), scalar_pow(t, 2)))) \
-        == "((1/2)/t^2)*x"
-    assert str(NcPoly.one(XY).scale(scalar_add(w2, scalar_mul(w1, -1)))) \
-        == "(w2 - w1)"
+    assert str(x.scale(w2 - w1)) == "(w2 - w1)*x"
+    assert str(x.scale(w1 / t)) == "(w1/t)*x"
+    assert str(x.scale(-2 / t)) == "((-2)/t)*x"
+    assert str(x.scale(Fraction(1, 2) / t ** 2)) == "((1/2)/t^2)*x"
+    assert str(NcPoly.one(XY).scale(w2 - w1)) == "(w2 - w1)"
 
 
 # ------------------------------------------------- the accumulate kernel
@@ -267,14 +258,13 @@ def _assert_normalized(p):
     pass: every coefficient is a nonzero Fraction, MPoly or RatFunc."""
     for c in p.terms.values():
         assert type(c) in (Fraction, MPoly, RatFunc), (p, c)
-        assert not is_zero_scalar(c), p
+        assert c, p
 
 
 kernel_scalars = st.one_of(
     st.fractions(min_value=-3, max_value=3, max_denominator=2),
-    st.sampled_from([var("w1"), scalar_mul(var("w1"), -1), var(TVAR)]),
-    st.builds(lambda a, b: scalar_add(var(a), coerce_scalar(b)),
-              st.sampled_from(["w1", TVAR]), st.integers(-2, 2)),
+    st.sampled_from([var("w1"), -var("w1"), var(TVAR)]),
+    st.builds(lambda a, b: var(a) + b, st.sampled_from(["w1", TVAR]), st.integers(-2, 2)),
 )
 
 
@@ -305,7 +295,7 @@ def test_kernel_results_stay_normalized(p, q, n):
 def test_kernel_cancels_and_keeps_start():
     w1 = var("w1")
     start = {(0,): w1, (1,): Fraction(2)}
-    p = collect(XY, [((0,), scalar_mul(w1, -1)), ((0, 1), Fraction(3))], start)
+    p = collect(XY, [((0,), -w1), ((0, 1), Fraction(3))], start)
     assert p.terms == {(1,): Fraction(2), (0, 1): Fraction(3)}
     assert start == {(0,): w1, (1,): Fraction(2)}  # start is not mutated
     assert collect(XY, [((0,), Fraction(1)), ((0,), Fraction(-1))]).is_zero()
@@ -320,30 +310,9 @@ def test_shuffle_inner_matches_the_shuffle_polynomial():
 
 # ------------------------------------------------ the scalar operator base
 
-def test_reflected_operators_match_scalar_functions():
-    t, w1 = var(TVAR), var("w1")
-    p = scalar_add(t, 1)
-    r = scalar_div(w1, t)
-    for x in (p, r, w1):
-        for a in (1, 3, Fraction(-2, 5)):
-            assert a + x == scalar_add(a, x) and x + a == scalar_add(x, a)
-            assert a - x == scalar_add(a, scalar_mul(x, -1))
-            assert x - a == scalar_add(x, -a)
-            assert a * x == scalar_mul(a, x) and x * a == scalar_mul(x, a)
-            assert x / a == scalar_div(x, a)
-    for x in (p, scalar_div(3, t)):  # division needs a divisor in Q(t)
-        assert 2 / x == scalar_div(2, x)
-        assert Fraction(1, 3) / x == scalar_div(Fraction(1, 3), x)
-    assert 1 - r == scalar_add(1, scalar_mul(r, -1))
-    assert 3 * r == scalar_mul(3, r)
-    assert r ** 2 == scalar_pow(r, 2) and p ** -1 == scalar_div(1, p)
-    assert p - p == 0 and isinstance(p - p, Fraction)
-    assert str(r) == repr(r) == scalar_str(r) == "w1/t"
-
-
 def test_foreign_operands_raise_type_error():
     w1 = var("w1")
-    r = scalar_div(w1, var(TVAR))
+    r = w1 / var(TVAR)
     x = NcPoly.letter(XY, 0)
     for bad in ("a", 1.5, None):
         for v in (w1, r, x):
@@ -360,12 +329,10 @@ def test_foreign_operands_raise_type_error():
 def test_equal_values_hash_equal():
     t, w1, w2 = var(TVAR), var("w1"), var("w2")
     pairs = [
-        (scalar_add(w1, w2), scalar_add(w2, w1)),
-        (scalar_mul(scalar_add(w1, 1), scalar_add(w1, -1)),
-         scalar_add(scalar_mul(w1, w1), -1)),
-        (scalar_div(w1, t), scalar_div(scalar_mul(w1, t), scalar_mul(t, t))),
-        (scalar_div(1, scalar_add(t, 1)),
-         scalar_div(scalar_add(t, -1), scalar_add(scalar_mul(t, t), -1))),
+        (w1 + w2, w2 + w1),
+        ((w1 + 1) * (w1 - 1), w1 * w1 - 1),
+        (w1 / t, w1 * t / (t * t)),
+        (1 / (t + 1), (t - 1) / (t * t - 1)),
     ]
     for a, b in pairs:
         assert a == b and hash(a) == hash(b)
@@ -382,9 +349,9 @@ def _reference_ratfunc(num, den):
     """num/den normalized by the Euclidean gcd alone, with no fast path:
     the oracle the Laurent normalization and the same-denominator sum are
     checked against."""
-    if isinstance(den, Fraction):
+    if type(den) is Fraction:
         return ncalg._mpoly_mul(num, Fraction(1) / den)
-    if is_zero_scalar(num):
+    if not num:
         return Fraction(0)
     dup = ncalg._t_content_split(den)[()]
     groups = ncalg._t_content_split(num)
@@ -414,6 +381,11 @@ def _reference_ratfunc(num, den):
 
 _num_den = ncalg._num_den
 _mul = ncalg._mpoly_mul
+POWERS = range(-3, 4)
+
+
+def _neg(x):
+    return _mul(x, Fraction(-1))
 
 
 def _reference_add(a, b):
@@ -423,30 +395,44 @@ def _reference_add(a, b):
 
 def _reference_ops(a, b):
     """Cross-multiplied sum, difference, product, quotient (for a divisor
-    in Q(t)) and t-derivative, each normalized by the reference."""
+    in Q(t)), negation, powers (negative ones for a base in Q(t)) and
+    t-derivative, each normalized by the reference."""
     (na, da), (nb, db) = _num_den(a), _num_den(b)
     out = {
         "add": _reference_add(a, b),
-        "sub": _reference_add(a, scalar_mul(b, -1)),
+        "sub": _reference_add(a, _reference_ratfunc(_neg(nb), db)),
         "mul": _reference_ratfunc(_mul(na, nb), _mul(da, db)),
+        "neg": _reference_ratfunc(_neg(na), da),
         "dt": _reference_ratfunc(
-            ncalg._mpoly_add(_mul(scalar_dt(na), da), _mul(scalar_mul(na, -1), scalar_dt(da))),
+            ncalg._mpoly_add(_mul(scalar_dt(na), da), _neg(_mul(na, scalar_dt(da)))),
             _mul(da, da)),
     }
-    if ncalg._is_tpoly(nb) and not is_zero_scalar(nb):
+    if ncalg._is_tpoly(nb) and nb:
         out["div"] = _reference_ratfunc(_mul(na, db), _mul(da, nb))
+    for n in POWERS:
+        if n >= 0:
+            out["pow", n] = _reference_ratfunc(_product([na] * n), _product([da] * n))
+        elif ncalg._is_tpoly(na) and na:
+            out["pow", n] = _reference_ratfunc(_product([da] * -n), _product([na] * -n))
     return out
 
 
 def _program_ops(a, b, names):
+    """The operators under test, run for each name of ``names``."""
     ops = {
-        "add": lambda: scalar_add(a, b),
-        "sub": lambda: scalar_add(a, scalar_mul(b, -1)),
-        "mul": lambda: scalar_mul(a, b),
-        "div": lambda: scalar_div(a, b),
+        "add": lambda: a + b,
+        "sub": lambda: a - b,
+        "mul": lambda: a * b,
+        "div": lambda: a / b,
+        "neg": lambda: -a,
         "dt": lambda: scalar_dt(a),
     }
+    ops.update({("pow", n): (lambda n=n: a ** n) for n in POWERS})
     return {name: ops[name]() for name in names}
+
+
+def _assert_tower(x):
+    assert type(x) in (Fraction, MPoly, RatFunc), (x, type(x))
 
 
 def _product(factors):
@@ -468,11 +454,10 @@ oracle_t_numerators = st.dictionaries(st.integers(0, 3), oracle_coeffs, min_size
     .map(lambda terms: ncalg._make_mpoly({_monomial(i, 0): c for i, c in terms.items()}))
 oracle_denominators = st.one_of(
     # c t^a, the Laurent case (a = 0 is a constant denominator)
-    st.builds(lambda c, a: scalar_mul(c, scalar_pow(var(TVAR), a)),
-              oracle_coeffs.filter(bool), st.integers(0, 4)),
+    st.builds(lambda c, a: c * var(TVAR) ** a, oracle_coeffs.filter(bool), st.integers(0, 4)),
     # products of (t - r), the general case
     st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(
-        lambda roots: _product([scalar_add(var(TVAR), -r) for r in roots])),
+        lambda roots: _product([var(TVAR) - r for r in roots])),
 )
 
 
@@ -495,23 +480,39 @@ def test_scalar_ops_match_the_gcd_reference(a, b):
     want = _reference_ops(a, b)
     got = _program_ops(a, b, want)
     for name in want:
+        _assert_tower(got[name])
         assert got[name] == want[name], name
         assert scalar_str(got[name]) == scalar_str(want[name]), name
 
 
+@settings(max_examples=100, deadline=None)
+@given(oracle_scalars, st.integers(-3, 3))
+def test_int_operands_match_fraction_operands(a, k):
+    """A plain int on either side acts as the Fraction it coerces to, and
+    every result stays in the tower (never an int or a float)."""
+    f = Fraction(k)
+    pairs = [(a + k, a + f), (k + a, f + a), (a - k, a - f), (k - a, f - a),
+             (a * k, a * f), (k * a, f * a)]
+    if k:
+        pairs.append((a / k, a / f))
+    if ncalg._is_tpoly(_num_den(a)[0]) and a:
+        pairs.append((k / a, f / a))
+    for got, want in pairs:
+        _assert_tower(got)
+        assert got == want and scalar_str(got) == scalar_str(want)
+
+
 def test_same_denominator_sums_match_the_gcd_reference():
     t, w1 = var(TVAR), var("w1")
-    dens = [t, scalar_mul(t, t), scalar_add(scalar_mul(t, t), -1),
-            scalar_mul(scalar_add(t, -1), scalar_add(t, 2))]
-    nums = [Fraction(3), w1, scalar_add(t, -1), scalar_mul(scalar_add(t, 2), w1),
-            scalar_add(scalar_mul(t, t), scalar_mul(t, -1))]
+    dens = [t, t * t, t * t - 1, (t - 1) * (t + 2)]
+    nums = [Fraction(3), w1, t - 1, (t + 2) * w1, t * t - t]
     for den in dens:
         for n1 in nums:
             for n2 in nums:
                 a = _reference_ratfunc(n1, den)
-                b = _reference_ratfunc(scalar_mul(n2, -1), den)
+                b = _reference_ratfunc(_neg(n2), den)
                 for x, y in ((a, b), (a, a)):
-                    got, want = scalar_add(x, y), _reference_add(x, y)
+                    got, want = x + y, _reference_add(x, y)
                     assert got == want and scalar_str(got) == scalar_str(want)
 
 
@@ -532,9 +533,13 @@ def test_scalar_ops_match_sympy():
     @given(oracle_scalars, st.one_of(oracle_scalars, oracle_divisors))
     def check(a, b):
         sa, sb = sym(a), sym(b)
-        expected = {"add": sa + sb, "sub": sa - sb, "mul": sa * sb, "dt": sympy.diff(sa, t)}
+        expected = {"add": sa + sb, "sub": sa - sb, "mul": sa * sb, "neg": -sa,
+                    "dt": sympy.diff(sa, t)}
         if sb != 0 and sb.free_symbols <= {t}:
             expected["div"] = sa / sb
+        for n in POWERS:
+            if n >= 0 or (sa != 0 and sa.free_symbols <= {t}):
+                expected["pow", n] = sa ** n
         got = _program_ops(a, b, expected)
         for name, want in expected.items():
             assert sympy.cancel(sym(got[name]) - want) == 0, name
@@ -544,14 +549,13 @@ def test_scalar_ops_match_sympy():
 
 def test_scalar_pow_by_squaring_matches_repeated_products():
     t, w1 = var(TVAR), var("w1")
-    for base in (scalar_add(t, w1), scalar_div(scalar_add(w1, 1), scalar_add(t, -1)),
-                 scalar_div(w1, t), scalar_div(3, scalar_add(t, 1)), Fraction(-2, 3)):
+    for base in (t + w1, (w1 + 1) / (t - 1), w1 / t, 3 / (t + 1), Fraction(-2, 3)):
         out = Fraction(1)
         for n in range(12):
-            assert scalar_pow(base, n) == out
+            assert base ** n == out
             if ncalg._is_tpoly(_num_den(base)[0]):  # negative powers need Q(t)
-                assert scalar_pow(base, -n) == scalar_div(1, out)
-            out = scalar_mul(out, base)
+                assert base ** -n == 1 / out
+            out = out * base
 
 
 # ------------------------------------------------------ process-wide caches
