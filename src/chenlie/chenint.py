@@ -20,15 +20,18 @@ word containing a foreign form integrates to 0.
 letter by letter on the coefficients omega needs: the prefixes of omega's
 words, read against the generator series on their infixes.  Inverse letters
 use the antipode of the shuffle Hopf algebra, <G^-1, v> = (-1)^|v|
-<G, reversed v>, valid because model series are group-like.
-``path_series`` keeps the full product as an independent oracle.
+<G, reversed v>, valid because model series are group-like.  A model keeps
+each series over the common denominator D of its coefficients, so the Chen
+steps multiply ints and the answer divides once, by the product of the D of
+the path's letters (a series with a symbolic coefficient keeps D = 1).  The
+full product of the path's series stays in the tests, as the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lgamma, log
+from math import factorial, lcm, lgamma, log
 
 from .liealg import is_lie
 from .ncalg import (
@@ -59,8 +62,11 @@ __all__ = [
 
 # Most (slot, split) pairs one evaluate may visit, checked before its first
 # Chen step: the loop's length times the sum of |u| + 1 over the prefixes u
-# of omega's words.  x^200 along x visits 20 301; x^445, the most, ~1 s.
-MAX_CHEN_PAIRS = 100_000
+# of omega's words.  x^200 along x visits 20 301.  The worst shape is one
+# letter at high degree, whose step setup slices every infix: x^564 along
+# x, the most, takes ~1 s.  Long loops, whose ints grow by log2 D bits a
+# letter, take ~0.5 s at the limit (x^10 666 against x^4).
+MAX_CHEN_PAIRS = 160_000
 
 
 def _truncated(p: NcPoly, n: int) -> NcPoly:
@@ -191,12 +197,14 @@ def is_grouplike(s: TruncSeries) -> bool:
 @dataclass(frozen=True)
 class IntegralModel:
     """Group-like series per path generator; evaluation happens over the
-    form alphabet."""
+    form alphabet.  ``scaled`` holds each series over its common
+    denominator, as (D, {word: D c}), for ``evaluate``."""
 
     paths: Alphabet
     forms: Alphabet
     degree: int
     series: tuple
+    scaled: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.series) != len(self.paths):
@@ -206,9 +214,20 @@ class IntegralModel:
                 raise ValueError("series must share the form alphabet and degree")
             if not is_grouplike(s):
                 raise ValueError("generator series must be group-like")
+        object.__setattr__(self, "scaled", tuple(
+            _over_common_denominator(s.poly.terms) for s in self.series))
 
     def generator_series(self, i: int) -> TruncSeries:
         return self.series[i]
+
+
+def _over_common_denominator(terms: dict) -> tuple:
+    """(D, {word: D c}) for D the lcm of the coefficients' denominators, so
+    that every D c is an int; (1, terms) when a coefficient is symbolic."""
+    if any(type(c) is not Fraction for c in terms.values()):
+        return 1, terms
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {w: c.numerator * (d // c.denominator) for w, c in terms.items()}
 
 
 def canonical_model(alphabet: Alphabet, degree: int) -> IntegralModel:
@@ -225,39 +244,23 @@ def canonical_model(alphabet: Alphabet, degree: int) -> IntegralModel:
     return IntegralModel(alphabet, alphabet, degree, series)
 
 
-def path_series(model: IntegralModel, delta) -> TruncSeries:
-    """The truncated series attached to a free-group word: the ordered
-    product of generator series and their inverses (inverted by the
-    geometric series, not the antipode)."""
-    if delta.alphabet != model.paths:
-        raise ValueError("path word alphabet does not match the model")
-    out = TruncSeries.one(model.forms, model.degree)
-    inverses: dict = {}
-    for i, e in delta.entries:
-        if e == 1:
-            f = model.series[i]
-        else:
-            f = inverses.get(i)
-            if f is None:
-                f = inverses[i] = ts_inv(model.series[i])
-        out = ts_mul(out, f)
-    return out
-
-
 def evaluate(model: IntegralModel, delta, omega: NcPoly) -> Scalar:
     """The iterated integral of omega along delta: the pairing of the
     path's series S against omega.  Linear in omega.
 
     Only the coefficients the answer needs are computed.  The state holds
-    <S, u> for u in the prefix closure of omega's words (the empty word
-    included), starting from the trivial path.  Each path letter with
-    series G updates it by Chen's identity,
-    <S G, w> = sum over w = u v of <S, u> <G, v>,
-    which reads G on the infixes v of omega's words only.  An inverse
+    q <S, u> for u in the prefix closure of omega's words (the empty word
+    included), starting from the trivial path with q = 1.  Each path letter
+    with series G, whose coefficients have common denominator D, updates it
+    by Chen's identity times D,
+    q D <S G, w> = sum over w = u v of q <S, u> D <G, v>,
+    and multiplies q by D; so for a rational model the state stays ints.
+    The step reads G on the infixes v of omega's words only.  An inverse
     letter reads the antipode, <G^-1, v> = (-1)^|v| <G, reversed v>; that
-    holds because every generator series of a model is group-like.  A word
-    of length k costs O(k^2) scalar operations per path letter, and the
-    total is checked against MAX_CHEN_PAIRS before the first step.
+    holds because every generator series of a model is group-like.  The
+    answer pairs omega with the state and divides once by q.  A word of
+    length k costs O(k^2) multiplications per path letter, and the total
+    is checked against MAX_CHEN_PAIRS before the first step.
     """
     if omega.alphabet != model.forms:
         raise ValueError("form polynomial alphabet does not match the model")
@@ -277,20 +280,23 @@ def evaluate(model: IntegralModel, delta, omega: NcPoly) -> Scalar:
             f"evaluating along a {len(delta)}-letter loop could visit {pairs} "
             f"slot pairs, over the limit of {MAX_CHEN_PAIRS}"
         )
-    state: list = [Fraction(1)] + [Fraction(0)] * (len(slots) - 1)
+    state: list = [1] + [0] * (len(slots) - 1)
+    q = 1
     steps: dict = {}
     for letter in delta.entries:
+        d, terms = model.scaled[letter[0]]
         step = steps.get(letter)
         if step is None:
-            step = steps[letter] = _chen_step(model.series[letter[0]], letter[1], slots)
-        state = [_dot(pairs, state) for pairs in step]
-    return _dot([(slots[w], c) for w, c in omega.terms.items()], state)
+            step = steps[letter] = _chen_step(terms, letter[1], slots)
+        state = [sum(state[i] * c for i, c in row) for row in step]
+        q *= d
+    total = sum((c * state[slots[w]] for w, c in omega.terms.items()), Fraction(0))
+    return total * Fraction(1, q)
 
 
-def _chen_step(g: TruncSeries, sign: int, slots: dict) -> list:
-    """Per slot word w, the (slot of u, <G^sign, v>) pairs over the splits
-    w = u v with a nonzero coefficient."""
-    terms = g.poly.terms
+def _chen_step(terms: dict, sign: int, slots: dict) -> list:
+    """Per slot word w, the (slot of u, D <G^sign, v>) pairs over the
+    splits w = u v with a nonzero coefficient, for G's scaled terms."""
     step = []
     for w in slots:
         pairs = []
@@ -306,13 +312,6 @@ def _chen_step(g: TruncSeries, sign: int, slots: dict) -> list:
                 pairs.append((slots[w[:j]], c))
         step.append(pairs)
     return step
-
-
-def _dot(pairs, state: list) -> Scalar:
-    total: Scalar = Fraction(0)
-    for i, c in pairs:
-        total = total + state[i] * c
-    return total
 
 
 @dataclass(frozen=True)

@@ -466,7 +466,7 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
             t, d, md = 1, 0, None
     elif isinstance(n, PPow):
         t, d, md = _poly_size(n.base, alphabet)
-        e = abs(n.exponent)
+        e = n.exponent
         # Past 64 factors any base of two or more terms is over the limit
         # (2^64 > MAX_POLY_LETTERS), so the count stops there.
         t, d = t ** min(e, 64), e * d
@@ -536,14 +536,9 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
             return NcPoly.one(alphabet).scale(var(n.name))
         if isinstance(n, PPow):
             base = ev(n.base)
-            _check_digits("power", abs(n.exponent) * log10(_height(base)))
+            _check_digits("power", n.exponent * log10(_height(base)))
             if base.max_degree() <= 0:
-                c = base.coeff(())
-                if n.exponent < 0 and not c:
-                    raise ZeroDivisionError("scalar division by zero")
-                return NcPoly.one(alphabet).scale(c ** n.exponent)
-            if n.exponent < 0:
-                raise ValueError("negative powers need a scalar base")
+                return NcPoly.one(alphabet).scale(base.coeff(()) ** n.exponent)
             out, e = NcPoly.one(alphabet), n.exponent
             while e:
                 if e & 1:

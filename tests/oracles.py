@@ -8,6 +8,10 @@ against.
   pair.  ``chenint.is_grouplike`` asks whether the logarithm is Lie.
 * ``shuffle_inner`` reads <p, u * v> word by word from the shuffle of u
   and v, without building the shuffle polynomial.
+* ``path_series`` multiplies a model's generator series (inverted by the
+  geometric series) along a path into the path's whole truncated series.
+  ``chenint.evaluate`` runs Chen's identity over one common denominator
+  on the coefficients the pairing needs instead.
 * ``magnus_exp`` multiplies the exp series of each letter of a group word
   in turn, one dense truncated product per letter.  ``freegrp.magnus``
   substitutes X -> e^X - 1 into the integer Fox expansion instead.
@@ -20,7 +24,7 @@ against.
 
 from fractions import Fraction
 
-from chenlie.chenint import TruncSeries, ts_mul
+from chenlie.chenint import IntegralModel, TruncSeries, ts_inv, ts_mul
 from chenlie.ncalg import (
     NcPoly,
     Scalar,
@@ -38,6 +42,25 @@ def shuffle_inner(p: NcPoly, u: Word, v: Word) -> Scalar:
     terms = p.terms
     return sum((terms[w] * mult for w, mult in shuffle_words(u, v).items() if w in terms),
                Fraction(0))
+
+
+def path_series(model: IntegralModel, delta) -> TruncSeries:
+    """The truncated series attached to a free-group word: the ordered
+    product of generator series and their inverses (inverted by the
+    geometric series, not the antipode)."""
+    if delta.alphabet != model.paths:
+        raise ValueError("path word alphabet does not match the model")
+    out = TruncSeries.one(model.forms, model.degree)
+    inverses: dict = {}
+    for i, e in delta.entries:
+        if e == 1:
+            f = model.series[i]
+        else:
+            f = inverses.get(i)
+            if f is None:
+                f = inverses[i] = ts_inv(model.series[i])
+        out = ts_mul(out, f)
+    return out
 
 
 def magnus_exp(delta, n: int) -> TruncSeries:

@@ -3,7 +3,10 @@ integral models with the axiom suite, and the graded pairing."""
 
 from fractions import Fraction
 from math import factorial
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,6 @@ from chenlie.chenint import (
     evaluate,
     is_grouplike,
     pair_graded,
-    path_series,
     ts_exp,
     ts_inv,
     ts_log,
@@ -45,7 +47,7 @@ from conftest import (
     random_scalar,
     tree_to_gw,
 )
-from oracles import is_grouplike_sweep
+from oracles import is_grouplike_sweep, path_series
 
 X = NcPoly.letter(XY, 0)
 Y = NcPoly.letter(XY, 1)
@@ -248,6 +250,89 @@ def test_evaluate_matches_path_series_oracle(oracle_models, model_name, loop_nam
         assert evaluate(m, delta, omega) == inner(full, omega)
 
 
+def _fraction_lie_series(r, ab, n):
+    """exp of a random Lie element of degrees 1..n whose coefficients have
+    denominators up to 6."""
+    p = NcPoly.zero(ab)
+    for k in range(1, n + 1):
+        trees = hall_basis(ab, k).elements
+        for tree in r.sample(trees, min(2, len(trees))):
+            p = p + expand(tree, ab).scale(Fraction(r.randint(-5, 5), r.randint(1, 6)))
+    return ts_exp(TruncSeries(n, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([XY, XYZ]))
+def test_integer_chen_steps_match_the_path_series(r, ab):
+    """On random rational group-like models, the common-denominator Chen
+    loop agrees with pairing the full path series, along a random reduced
+    loop with inverse letters and along the empty loop, for omega of mixed
+    degrees, with a symbolic coefficient, and zero."""
+    n = r.randint(1, 4)
+    m = IntegralModel(ab, ab, n, tuple(_fraction_lie_series(r, ab, n) for _ in ab.letters))
+    words = [w for k in range(n + 1) for w in ab.words(k)]
+    mixed = NcPoly(ab, {w: Fraction(r.randint(-4, 4), r.randint(1, 5))
+                        for w in r.sample(words, min(6, len(words)))})
+    symbolic = mixed + NcPoly.from_word(ab, r.choice(words), var("s"))
+    for delta in (random_groupword(r, ab, r.randint(1, 8)), GroupWord.identity(ab)):
+        full = path_series(m, delta).poly
+        for omega in (mixed, symbolic, NcPoly.zero(ab)):
+            assert evaluate(m, delta, omega) == inner(full, omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([XY, XYZ]))
+def test_canonical_values_are_the_magnus_coefficients(r, ab):
+    """In the canonical model, the integral of a word along a loop is its
+    coefficient in the loop's Magnus series."""
+    n = r.randint(1, 4)
+    delta = random_groupword(r, ab, r.randint(0, 10))
+    series = magnus(delta, n)
+    m = canonical_model(ab, n)
+    for k in range(n + 1):
+        for w in ab.words(k):
+            assert evaluate(m, delta, NcPoly.from_word(ab, w)) == series.coeff(w)
+
+
+def test_models_keep_each_series_over_its_common_denominator(oracle_models):
+    """A rational series becomes (lcm of its denominators, int terms); a
+    series with a symbolic coefficient keeps its terms, with D = 1."""
+    d, terms = oracle_models["canonical"].scaled[1]
+    assert d == 24
+    assert terms == {(): 24, (1,): 24, (1, 1): 12, (1, 1, 1): 4, (1, 1, 1, 1): 1}
+    for s, (d, terms) in zip(oracle_models["random"].series,
+                             oracle_models["random"].scaled):
+        assert all(type(c) is int for c in terms.values())
+        assert {w: Fraction(c, d) for w, c in terms.items()} == s.poly.terms
+    for s, (d, terms) in zip(oracle_models["symbolic"].series,
+                             oracle_models["symbolic"].scaled):
+        assert d == 1 and terms == s.poly.terms
+
+
+def test_evaluate_leaves_a_fresh_interpreter_silent():
+    """Importing chenlie, evaluating on a canonical and a symbolic model and
+    exiting writes nothing to stdout or stderr: no exit hook, no shutdown
+    warning, so a caller's last output line stays its own."""
+    import chenlie
+    code = (
+        "from chenlie.chenint import IntegralModel, TruncSeries, canonical_model, "
+        "evaluate, ts_exp\n"
+        "from chenlie.freegrp import GroupWord, commutator\n"
+        "from chenlie.ncalg import Alphabet, NcPoly, var\n"
+        "ab = Alphabet(('x', 'y'))\n"
+        "x, y = NcPoly.letter(ab, 0), NcPoly.letter(ab, 1)\n"
+        "loop = commutator(GroupWord.generator(ab, 0), GroupWord.generator(ab, 1))\n"
+        "assert evaluate(canonical_model(ab, 2), loop, x * y) == 1\n"
+        "series = tuple(ts_exp(TruncSeries(2, x.scale(var('a')) + y.scale(var('b%d' % i))))\n"
+        "               for i in range(2))\n"
+        "evaluate(IntegralModel(ab, ab, 2, series), loop, x * y)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(chenlie.__file__)))
+    proc = subprocess.run([sys.executable, "-W", "default", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
 def test_bucketed_ts_mul_matches_truncated_concat_mul(rng):
     for da, db in ((4, 2), (2, 4), (3, 3), (0, 3)):
         pa = NcPoly.one(XY) + sum((random_homogeneous(rng, XY, k) for k in range(1, 5)),
@@ -273,7 +358,7 @@ def test_evaluate_builds_no_series(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("full series built")
 
-    for name in ("ts_mul", "ts_inv", "path_series"):
+    for name in ("ts_mul", "ts_inv"):
         monkeypatch.setattr(chenint, name, boom)
     assert evaluate(m, delta, omega) == want
 

@@ -281,11 +281,11 @@ def test_one_letter_canonical_model_of_high_degree(capsys):
 
 def test_oversized_evaluations_are_a_one_line_error(capsys):
     """x^1000 along x visits 501 501 slot pairs and a 66 000-letter loop
-    against x x visits 396 000, both over the limit of 100 000; the
+    against x x visits 396 000, both over the limit of 160 000; the
     canonical model of degree 1800 needs 1/1800!, which has 5080 digits."""
     for argv, text in (
-        (["eval", "x", "x^1000"], "could visit 501501 slot pairs, over the limit of 100000"),
-        (["eval", "x^66000", "x x"], "could visit 396000 slot pairs, over the limit of 100000"),
+        (["eval", "x", "x^1000"], "could visit 501501 slot pairs, over the limit of 160000"),
+        (["eval", "x^66000", "x x"], "could visit 396000 slot pairs, over the limit of 160000"),
         (["eval", "x", "x^1800"], "could reach 5080 digits in a coefficient, over the limit of 4300"),
     ):
         start = time.perf_counter()
@@ -314,6 +314,15 @@ def test_division_by_zero_is_named(capsys):
         code, out, err = invoke(capsys, "expand", text)
         assert code == 1 and out == ""
         assert err == "error: scalar division by zero\n"
+
+
+def test_negative_powers_are_a_parse_error(capsys):
+    """An unsigned int follows ^, so no polynomial text has a negative power,
+    of a letter or of a scalar."""
+    for text in ("x^-1", "2^-1"):
+        code, out, err = invoke(capsys, "expand", text)
+        assert code == 1 and out == ""
+        assert err == "error: line 1, column 3: expected 'int', found '-'\n"
 
 
 def test_oversized_polynomials_are_a_one_line_error(capsys):
