@@ -232,21 +232,18 @@ def _projection_data(alphabet: Alphabet, md: tuple) -> tuple:
     elements = _hall_blocks(alphabet, sum(md)).get(md, ())
     n = len(elements)
     exps = tuple(expand(t, alphabet) for t in elements)
-    # The Gram matrix of a linearly independent family under a
-    # positive-definite pairing is symmetric and invertible.
-    gram = [[None] * n for _ in range(n)]
-    for i, a in enumerate(exps):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = inner(a, exps[j])
+    # An independent family's Gram matrix is invertible; Hall coefficients are ints.
+    ints = [{w: c.numerator for w, c in e.terms.items()} for e in exps]
+    gram = [[sum(c * b[w] for w, c in a.items() if w in b) for b in ints]
+            for a in ints]
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     return exps, frac_solve(gram, identity)
 
 
 def decompose(p: NcPoly) -> tuple:
     """Split a homogeneous p into (lie, shf) with lie in the Hall span and
-    shf orthogonal to it, via orthogonal projection, one multidegree block
-    at a time.  Solving a block's Gram system is cubic in its number of
-    Hall elements, fine at desk scale."""
+    shf orthogonal to it, by orthogonal projection one multidegree block at
+    a time; each block's integer Gram matrix is inverted once and cached."""
     if p.is_zero():
         return p, p
     if not p.is_homogeneous():
@@ -279,13 +276,6 @@ def decompose(p: NcPoly) -> tuple:
 def hall_rank(alphabet: Alphabet, k: int) -> int:
     """Rank over Q of the Hall expansions' coefficient matrix (used to
     certify linear independence)."""
-    basis = hall_basis(alphabet, k)
     words = list(alphabet.words(k))
-    pos = {w: i for i, w in enumerate(words)}
-    rows = []
-    for e in basis.expansions():
-        row = [Fraction(0)] * len(words)
-        for w, c in e.items():
-            row[pos[w]] = c
-        rows.append(row)
-    return frac_rank(rows)
+    return frac_rank([[e.coeff(w) for w in words]
+                      for e in hall_basis(alphabet, k).expansions()])

@@ -810,27 +810,42 @@ def shuffle_words(u: Word, v: Word) -> dict:
     """All order-preserving interleavings: word -> multiplicity.  Row i
     holds the shuffles of u[i:] with each suffix of v; the rows are filled
     from the last letter of u back and only two are kept, so no call
-    recurses or holds the shuffles of every pair of suffixes."""
+    recurses.  A row's words are ids: 0 is the empty word and ids[(a,
+    rest)] the word a + rest, so prefixing a letter costs one lookup, not a
+    copy of the word; only the last row's words are spelled out as tuples."""
     u, v = tuple(u), tuple(v)
     if not u or not v:
         return {u + v: 1}
     hit = _SHUFFLE_CACHE.get((u, v))
     if hit is not None:
         return hit
-    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # u's suffix is empty
+    ids: dict = {}
+    suffix = [0] * (len(v) + 1)  # the ids of v's suffixes
+    for j in range(len(v) - 1, -1, -1):
+        suffix[j] = ids.setdefault((v[j], suffix[j + 1]), len(ids) + 1)
+    below, rest = [{w: 1} for w in suffix], 0  # u's suffix is empty
     for i in range(len(u) - 1, -1, -1):
-        row = [None] * len(v) + [{u[i:]: 1}]
+        rest = ids.setdefault((u[i], rest), len(ids) + 1)
+        row = [None] * len(v) + [{rest: 1}]
         for j in range(len(v) - 1, -1, -1):
             row[j] = out = {}
             for a, part in ((u[i], below[j]), (v[j], row[j + 1])):
                 for w, c in part.items():
-                    w = (a,) + w
+                    w = ids.setdefault((a, w), len(ids) + 1)
                     out[w] = out.get(w, 0) + c
         below = row
+    pairs = [None, *ids]  # ids count up from 1 in insertion order
+    out = {}
+    for w, c in below[0].items():
+        word = []
+        while w:
+            a, w = pairs[w]
+            word.append(a)
+        out[tuple(word)] = c
     if len(_SHUFFLE_CACHE) >= _SHUFFLE_CACHE_MAX:
         _SHUFFLE_CACHE.clear()
-    _SHUFFLE_CACHE[(u, v)] = below[0]
-    return below[0]
+    _SHUFFLE_CACHE[(u, v)] = out
+    return out
 
 
 def shuffle(p: NcPoly, q: NcPoly) -> NcPoly:

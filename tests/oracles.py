@@ -15,6 +15,14 @@ against.
 * ``magnus_exp`` multiplies the exp series of each letter of a group word
   in turn, one dense truncated product per letter.  ``freegrp.magnus``
   substitutes X -> e^X - 1 into the integer Fox expansion instead.
+* ``fraction_gauss_jordan`` reduces Fraction rows to reduced echelon form,
+  scaling each pivot row to 1; ``fraction_rank`` and ``fraction_solve`` are
+  ranks and solves through it.  ``_linalg`` clears denominators and runs a
+  fraction-free elimination on ints instead.
+* ``shuffle_words_tuples`` fills the same two-row table as
+  ``ncalg.shuffle_words`` but rebuilds every partial word as a tuple, about
+  k^3 / 3 letter operations for x^k * y; ``shuffle_words`` prefixes a
+  letter to an interned word id instead.
 * ``modp_rank`` is a rank over GF(p), p = 2^31 - 1: an exact lower bound
   on the rank over Q, since any nonzero minor mod p is a nonzero minor
   over Q.  Combined with an upper bound (spanning-set size, or
@@ -113,6 +121,65 @@ def is_grouplike_sweep(s) -> bool:
                     if cu * s.poly.coeff(v) != shuffle_inner(s.poly, u, v):
                         return False
     return True
+
+
+def fraction_gauss_jordan(mat: list, ncols: int) -> int:
+    """Reduce a list of Fraction rows in place over its first ncols columns;
+    returns the rank.  Pivot rows come first, each scaled to 1 at its pivot,
+    which is the only nonzero entry of its column."""
+    rank = 0
+    for col in range(ncols):
+        if rank == len(mat):
+            break
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = Fraction(1) / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b if b else a for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination on Fraction entries."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    return fraction_gauss_jordan(mat, len(mat[0]) if mat else 0)
+
+
+def fraction_solve(a, b):
+    """Solve the square system a X = B exactly, with B given as rows (one
+    per row of a) and X returned as rows; raises on singular a."""
+    n = len(a)
+    mat = [[Fraction(x) for x in row] + [Fraction(y) for y in rhs]
+           for row, rhs in zip(a, b)]
+    if fraction_gauss_jordan(mat, n) < n:
+        raise ValueError("singular system")
+    return [row[n:] for row in mat]
+
+
+def shuffle_words_tuples(u: Word, v: Word) -> dict:
+    """All order-preserving interleavings: word -> multiplicity.  Row i
+    holds the shuffles of u[i:] with each suffix of v as tuples; the rows
+    are filled from the last letter of u back and only two are kept."""
+    u, v = tuple(u), tuple(v)
+    if not u or not v:
+        return {u + v: 1}
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]  # u's suffix is empty
+    for i in range(len(u) - 1, -1, -1):
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            row[j] = out = {}
+            for a, part in ((u[i], below[j]), (v[j], row[j + 1])):
+                for w, c in part.items():
+                    w = (a,) + w
+                    out[w] = out.get(w, 0) + c
+        below = row
+    return below[0]
 
 
 def modp_rank(rows, p: int = MERSENNE31) -> int:

@@ -13,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlie import ncalg
 from chenlie.cli import run
 from chenlie.ncalg import Alphabet, NcPoly
 
@@ -248,6 +249,17 @@ def test_expansions_at_the_work_limit_are_quick(capsys):
     assert time.perf_counter() - start < 1
     x = Alphabet(("x",))
     assert out == f"{NcPoly(x, {(0,) * j: Fraction(10 ** (5 * j), factorial(j)) for j in range(6)})}\n"
+
+
+def test_the_largest_accepted_shuffle_is_quick(capsys):
+    """x^706 # y is the largest shuffle of its shape that the polynomial
+    size limit accepts: 707 words of 707 letters."""
+    ncalg._SHUFFLE_CACHE.pop(((0,) * 706, (1,)), None)
+    start = time.perf_counter()
+    out = ok(capsys, "expand", "x^706 # y")
+    assert time.perf_counter() - start < 1
+    assert out.startswith("x^706 y + x^705 y x + ") and out.endswith(" + y x^706\n")
+    assert out.count(" + ") == 706
 
 
 def test_magnus_past_the_digit_limit_is_a_one_line_error(capsys):

@@ -2,7 +2,9 @@
 Ree's shuffle criterion, and the orthogonal Lie/shuffle decomposition."""
 
 from fractions import Fraction
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +36,7 @@ from conftest import (
     random_lietree,
     random_scalar,
 )
-from oracles import is_lie_ree
+from oracles import fraction_rank, fraction_solve, is_lie_ree
 
 WITT_M2 = {1: 2, 2: 1, 3: 2, 4: 3, 5: 6}
 
@@ -257,6 +259,36 @@ def test_projection_is_cached_per_multidegree_block():
     assert _projection_data.cache_info().misses == 0
 
 
+def test_every_block_inverse_matches_the_fraction_oracle():
+    """Every block over x,y to degree 10 and over x,y,z to degree 6: the
+    integer Gram matrix inverted fraction-free equals the Fraction inverse
+    of the Gram matrix of the Fraction pairing, entry by entry."""
+    for ab, top in ((XY, 10), (XYZ, 6)):
+        for k in range(2, top + 1):
+            for md, elements in _hall_blocks(ab, k).items():
+                assert len(elements) <= MAX_BLOCK
+                exps, inv = _projection_data.__wrapped__(ab, md)
+                n = len(exps)
+                gram = [[inner(a, b) for b in exps] for a in exps]
+                identity = [[int(i == j) for j in range(n)] for i in range(n)]
+                assert inv == fraction_solve(gram, identity), md
+                assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_the_benchmark_reads_both_private_caches():
+    """bench/spans.py counts the projection and shuffle caches through
+    their private names and leaves out, without an error, a name that is
+    gone; both names must be there for it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    decompose(NcPoly.from_word(XY, (0, 1, 1)))
+    shuffle(NcPoly.from_word(XY, (0, 1)), NcPoly.from_word(XY, (1,)))
+    assert set(spans.private_counters()) == {
+        "projection_hits", "projection_misses", "shuffle_cache_entries"}
+
+
 def test_lie_layer_size_limits():
     assert len(hall_basis(XY, 15).elements) == witt_number(2, 15)
     with pytest.raises(ValueError) as exc:
@@ -299,20 +331,4 @@ def test_rank_identity_small():
             for v in XY.words(k - r):
                 s = shuffle(pu, NcPoly.from_word(XY, v))
                 rows.append([s.coeff(w) for w in XY.words(k)])
-    # Gaussian elimination over Q
-    rank = 0
-    cols = len(rows[0])
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [c * inv for c in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    assert witt_number(2, k) + rank == 2 ** k
+    assert witt_number(2, k) + fraction_rank(rows) == 2 ** k

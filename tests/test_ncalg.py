@@ -32,7 +32,7 @@ from chenlie.ncalg import (
     word_str,
 )
 from conftest import random_lie_poly
-from oracles import is_lie_ree, shuffle_inner
+from oracles import is_lie_ree, shuffle_inner, shuffle_words_tuples
 
 XY = Alphabet(("x", "y"))
 
@@ -177,6 +177,17 @@ def test_shuffle_mass(r, s, seed_letter):
     u = tuple((seed_letter + i) % 2 for i in range(r))
     v = tuple(i % 2 for i in range(s))
     assert sum(shuffle_words(u, v).values()) == comb(r + s, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=7), st.lists(st.integers(0, 2), max_size=7))
+def test_shuffle_words_matches_the_tuple_table(u, v):
+    """Same words, multiplicities and order as the table of tuples, for
+    empty words and repeated letters too."""
+    ncalg._SHUFFLE_CACHE.pop((tuple(u), tuple(v)), None)
+    got = shuffle_words(u, v)
+    assert list(got.items()) == list(shuffle_words_tuples(u, v).items())
+    assert all(type(w) is tuple for w in got)
 
 
 def small_polys(alphabet=XY, max_deg=3):
