@@ -27,7 +27,10 @@ def main() -> int:
     ap.add_argument("-K", type=int, default=5, help="largest degree")
     args = ap.parse_args()
 
-    alphabet = Alphabet(default_letters(args.m))
+    try:
+        alphabet = Alphabet(default_letters(args.m))
+    except ValueError as e:
+        ap.error(str(e))
     print(f"alphabet: {' '.join(alphabet.letters)}")
     for k in range(1, args.K + 1):
         basis = hall_basis(alphabet, k)

@@ -45,7 +45,6 @@ from .ncalg import (
 )
 from .parser import (
     ParseError,
-    PShuffle,
     build_gw,
     build_poly,
     infer_alphabet,
@@ -118,11 +117,17 @@ def _letters(doc: dict, path: str, key: str) -> Alphabet:
     return Alphabet(tuple(names))
 
 
+def _scalar(value, path: str, key: str):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{path}: field {key!r} entries must be integers or strings")
+    return parse_scalar(str(value))
+
+
 def _rows(doc: dict, path: str, key: str) -> tuple:
     rows = _list(doc, path, key)
     if not all(isinstance(row, list) for row in rows):
         raise ValueError(f"{path}: field {key!r} must be a list of lists")
-    return tuple(tuple(parse_scalar(str(e)) for e in row) for row in rows)
+    return tuple(tuple(_scalar(e, path, key) for e in row) for row in rows)
 
 
 def load_connection(path: str) -> Connection:
@@ -131,9 +136,9 @@ def load_connection(path: str) -> Connection:
     forms = _letters(doc, path, "alphabet")
     if "weights" in doc:
         return Connection.diagonal(
-            tuple(parse_scalar(str(w)) for w in _list(doc, path, "weights")), forms
+            tuple(_scalar(w, path, "weights") for w in _list(doc, path, "weights")), forms
         )
-    delta_poly = parse_scalar(str(_field(doc, path, "delta_poly")))
+    delta_poly = _scalar(_field(doc, path, "delta_poly"), path, "delta_poly")
     return Connection(forms, delta_poly, _rows(doc, path, "matrix"))
 
 
@@ -177,7 +182,7 @@ def _cmd_shuffle(args):
     na = parse(_arg_text(args.a), "poly")
     nb = parse(_arg_text(args.b), "poly")
     alphabet = _alphabet(args, [na, nb])
-    p = build_poly(PShuffle(na, nb), alphabet)  # with the size check of a # b
+    p = build_poly(("#", na, nb), alphabet)  # with the size check of a # b
     return {"value": str(p)}, [str(p)]
 
 

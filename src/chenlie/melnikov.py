@@ -317,13 +317,13 @@ def _pl_mixed_matrix(i):
     return tuple(rows)
 
 
-def _wedge_int(u, v):
+def _wedge(u, v):
     return tuple(u[p] * v[q] - u[q] * v[p] for p, q in _PAIRS)
 
 
 def _pl_grade2_matrix(i):
     m = _pl_mixed_matrix(i)
-    return tuple(_wedge_int(m[p], m[q]) for p, q in _PAIRS)
+    return tuple(_wedge(m[p], m[q]) for p, q in _PAIRS)
 
 
 _PL_GRADE2 = tuple(_pl_grade2_matrix(i) for i in (1, 2, 3, 4))
@@ -335,7 +335,7 @@ def wedge(u, v) -> Grade2Element:
         raise ValueError("4-vectors over the vanishing cycles are required")
     um = _delta_to_mixed(tuple(coerce_scalar(c) for c in u))
     vm = _delta_to_mixed(tuple(coerce_scalar(c) for c in v))
-    return tuple(um[p] * vm[q] - um[q] * vm[p] for p, q in _PAIRS)
+    return _wedge(um, vm)
 
 
 def pl_grade2(i: int, g) -> Grade2Element:

@@ -606,6 +606,8 @@ class Alphabet:
 
 def default_letters(m: int) -> tuple:
     """x, y, z for m <= 3; x1..xm beyond."""
+    if m < 1:
+        raise ValueError("alphabet must have at least one letter")
     if m <= 3:
         return ("x", "y", "z")[:m]
     return tuple(f"x{i + 1}" for i in range(m))

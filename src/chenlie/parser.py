@@ -20,7 +20,6 @@ parsing their output reproduces the original value exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, log10
 
@@ -76,18 +75,28 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokens
+# Tokens and syntax trees
 # ---------------------------------------------------------------------------
+#
+# A token is a tuple (kind, text, line, col); kind is "ident", "int", one of
+# _SYMBOLS, or "end".
+#
+# A syntax tree node is a tuple whose first entry is its tag.  Both grammars
+# share "ident", "^" and "*"; the polynomial grammar alone has "int", "/",
+# "[", "#" and "+", and the group-word grammar alone "1" and "(".
+#
+#   ("int", value)        integer literal, value a Fraction
+#   ("ident", name)       identifier
+#   ("^", base, e)        power, e an int (negative only in a group word)
+#   ("*", factors)        product, factors a tuple of two or more nodes
+#   ("/", num, den)       division
+#   ("[", left, right)    Lie bracket
+#   ("#", left, right)    shuffle product
+#   ("+", terms)          sum, terms a tuple of (sign, node), sign +1 or -1
+#   ("1",)                identity group word
+#   ("(", left, right)    group commutator
 
 _SYMBOLS = "+-*/^#()[],"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", one of _SYMBOLS, or "end"
-    text: str
-    line: int
-    col: int
 
 
 def _tokenize(text: str):
@@ -109,7 +118,7 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
+            tokens.append(("ident", text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -117,94 +126,18 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
+            tokens.append(("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
         if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
+            tokens.append((ch, ch, line, col))
             col += 1
             i += 1
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(("end", "", line, col))
     return tokens
-
-
-# ---------------------------------------------------------------------------
-# Syntax trees
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PInt:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class PIdent:
-    name: str
-
-
-@dataclass(frozen=True)
-class PPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class PProd:
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class PDiv:
-    num: object
-    den: object
-
-
-@dataclass(frozen=True)
-class PBracket:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PShuffle:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class PSum:
-    terms: tuple  # of (sign, node), sign in {+1, -1}
-
-
-@dataclass(frozen=True)
-class GIdent:
-    name: str
-
-
-@dataclass(frozen=True)
-class GOne:
-    pass
-
-
-@dataclass(frozen=True)
-class GPow:
-    base: object
-    exponent: int
-
-
-@dataclass(frozen=True)
-class GComm:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class GProd:
-    factors: tuple
 
 
 class _Parser:
@@ -214,21 +147,24 @@ class _Parser:
         self.depth = 0
 
     @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
-        tok = self.cur
+    def advance(self) -> tuple:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            self.fail(f"expected {kind!r}, found {self.cur.text or 'end of input'!r}")
+    def expect(self, kind: str) -> tuple:
+        if self.kind != kind:
+            self.fail(f"expected {kind!r}, found {self.found()!r}")
         return self.advance()
 
+    def found(self) -> str:
+        return self.tokens[self.pos][1] or "end of input"
+
     def fail(self, message: str):
-        raise ParseError(message, self.cur.line, self.cur.col)
+        raise ParseError(message, *self.tokens[self.pos][2:])
 
     def nest(self):
         """Enter one nesting level at the current token."""
@@ -247,24 +183,24 @@ class _Parser:
     def parse_sum(self):
         terms = []
         sign = 1
-        if self.cur.kind == "-":
+        if self.kind == "-":
             self.advance()
             sign = -1
         terms.append((sign, self.parse_shuffle()))
-        while self.cur.kind in ("+", "-"):
-            sign = 1 if self.advance().kind == "+" else -1
+        while self.kind in ("+", "-"):
+            sign = 1 if self.advance()[0] == "+" else -1
             terms.append((sign, self.parse_shuffle()))
         if len(terms) == 1 and terms[0][0] == 1:
             return terms[0][1]
-        return PSum(tuple(terms))
+        return ("+", tuple(terms))
 
     def parse_shuffle(self):
         depth = self.depth
         node = self.parse_product()
-        while self.cur.kind == "#":
+        while self.kind == "#":
             self.nest()
             self.advance()
-            node = PShuffle(node, self.parse_product())
+            node = ("#", node, self.parse_product())
         self.depth = depth
         return node
 
@@ -274,14 +210,14 @@ class _Parser:
         depth = self.depth
         node = self.parse_postfix()
         while True:
-            if self.cur.kind == "*":
+            if self.kind == "*":
                 self.advance()
                 node = self._mul(node, self.parse_postfix())
-            elif self.cur.kind == "/":
+            elif self.kind == "/":
                 self.nest()
                 self.advance()
-                node = PDiv(node, self.parse_postfix())
-            elif self.cur.kind in self._ATOM_STARTS:
+                node = ("/", node, self.parse_postfix())
+            elif self.kind in self._ATOM_STARTS:
                 node = self._mul(node, self.parse_postfix())
             else:
                 self.depth = depth
@@ -289,34 +225,33 @@ class _Parser:
 
     @staticmethod
     def _mul(a, b):
-        fa = a.factors if isinstance(a, PProd) else (a,)
-        fb = b.factors if isinstance(b, PProd) else (b,)
-        return PProd(fa + fb)
+        fa = a[1] if a[0] == "*" else (a,)
+        fb = b[1] if b[0] == "*" else (b,)
+        return ("*", fa + fb)
 
     def parse_postfix(self):
         node = self.parse_atom()
-        if self.cur.kind == "^":
+        if self.kind == "^":
             self.advance()
-            tok = self.expect("int")
-            node = PPow(node, int(tok.text))
+            node = ("^", node, int(self.expect("int")[1]))
         return node
 
     def parse_atom(self):
-        tok = self.cur
-        if tok.kind == "int":
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "int":
             self.advance()
-            return PInt(Fraction(int(tok.text)))
-        if tok.kind == "ident":
+            return ("int", Fraction(int(text)))
+        if kind == "ident":
             self.advance()
-            return PIdent(tok.text)
-        if tok.kind == "(":
+            return ("ident", text)
+        if kind == "(":
             self.nest()
             self.advance()
             node = self.parse_sum()
             self.expect(")")
             self.depth -= 1
             return node
-        if tok.kind == "[":
+        if kind == "[":
             self.nest()
             self.advance()
             left = self.parse_sum()
@@ -324,8 +259,8 @@ class _Parser:
             right = self.parse_sum()
             self.expect("]")
             self.depth -= 1
-            return PBracket(left, right)
-        self.fail(f"expected an expression, found {tok.text or 'end of input'!r}")
+            return ("[", left, right)
+        self.fail(f"expected an expression, found {self.found()!r}")
 
     # -- group-word grammar ---------------------------------------------------
     #
@@ -335,48 +270,47 @@ class _Parser:
 
     def parse_gw_expr(self):
         factors = [self.parse_gw_factor()]
-        while self.cur.kind in ("ident", "int", "("):
+        while self.kind in ("ident", "int", "("):
             factors.append(self.parse_gw_factor())
         if len(factors) == 1:
             return factors[0]
-        return GProd(tuple(factors))
+        return ("*", tuple(factors))
 
     def parse_gw_factor(self):
         node = self.parse_gw_atom()
-        if self.cur.kind == "^":
+        if self.kind == "^":
             self.advance()
             sign = 1
-            if self.cur.kind == "-":
+            if self.kind == "-":
                 self.advance()
                 sign = -1
-            tok = self.expect("int")
-            node = GPow(node, sign * int(tok.text))
+            node = ("^", node, sign * int(self.expect("int")[1]))
         return node
 
     def parse_gw_atom(self):
-        tok = self.cur
-        if tok.kind == "ident":
+        kind, text = self.tokens[self.pos][:2]
+        if kind == "ident":
             self.advance()
-            return GIdent(tok.text)
-        if tok.kind == "int":
-            if tok.text != "1":
+            return ("ident", text)
+        if kind == "int":
+            if text != "1":
                 self.fail("the only literal group word is the identity, 1")
             self.advance()
-            return GOne()
-        if tok.kind == "(":
+            return ("1",)
+        if kind == "(":
             self.nest()
             self.advance()
             left = self.parse_gw_expr()
-            if self.cur.kind == ",":
+            if self.kind == ",":
                 self.advance()
                 right = self.parse_gw_expr()
                 self.expect(")")
                 self.depth -= 1
-                return GComm(left, right)
+                return ("(", left, right)
             self.expect(")")
             self.depth -= 1
             return left
-        self.fail(f"expected a group word, found {tok.text or 'end of input'!r}")
+        self.fail(f"expected a group word, found {self.found()!r}")
 
 
 def parse(text: str, kind: str = "poly"):
@@ -388,8 +322,8 @@ def parse(text: str, kind: str = "poly"):
         node = p.parse_gw_expr()
     else:
         raise ValueError(f"unknown expression kind {kind!r}")
-    if p.cur.kind != "end":
-        p.fail(f"unexpected trailing input {p.cur.text!r}")
+    if p.kind != "end":
+        p.fail(f"unexpected trailing input {p.found()!r}")
     return node
 
 
@@ -399,22 +333,21 @@ def parse(text: str, kind: str = "poly"):
 
 
 def collect_idents(node) -> set:
+    """The identifier names of a syntax tree of either grammar."""
     out: set = set()
     stack = [node]
     while stack:
-        n = stack.pop()
-        if isinstance(n, (PIdent, GIdent)):
-            out.add(n.name)
-        elif isinstance(n, (PPow, GPow)):
-            stack.append(n.base)
-        elif isinstance(n, (PProd, GProd)):
-            stack.extend(n.factors)
-        elif isinstance(n, PDiv):
-            stack.extend((n.num, n.den))
-        elif isinstance(n, (PBracket, PShuffle, GComm)):
-            stack.extend((n.left, n.right))
-        elif isinstance(n, PSum):
-            stack.extend(t for _, t in n.terms)
+        match stack.pop():
+            case ("ident", name):
+                out.add(name)
+            case ("^", base, _):
+                stack.append(base)
+            case ("*", factors):
+                stack.extend(factors)
+            case ("+", terms):
+                stack.extend(t for _, t in terms)
+            case (_, left, right):  # "/", "[", "#" and "("
+                stack.extend((left, right))
     return out
 
 
@@ -457,39 +390,38 @@ def _poly_size(n, alphabet: Alphabet) -> tuple:
     for each suffix pair of each pair of words.  Each count is exact or
     already over that limit; the table's is a bound."""
     table = 0
-    if isinstance(n, PInt):
-        t, d, md = 1, 0, (0,) * len(alphabet)
-    elif isinstance(n, PIdent):
-        if n.name in alphabet.letters:
-            t, d, md = 1, 1, tuple(int(n.name == a) for a in alphabet.letters)
-        else:
+    match n:
+        case ("int", _):
+            t, d, md = 1, 0, (0,) * len(alphabet)
+        case ("ident", name) if name in alphabet.letters:
+            t, d, md = 1, 1, tuple(int(name == a) for a in alphabet.letters)
+        case ("ident", _):
             t, d, md = 1, 0, None
-    elif isinstance(n, PPow):
-        t, d, md = _poly_size(n.base, alphabet)
-        e = n.exponent
-        # Past 64 factors any base of two or more terms is over the limit
-        # (2^64 > MAX_POLY_LETTERS), so the count stops there.
-        t, d = t ** min(e, 64), e * d
-        md = None if md is None else tuple(e * a for a in md)
-    elif isinstance(n, (PProd, PDiv)):
-        t, d, md = 1, 0, (0,) * len(alphabet)
-        for f in (n.factors if isinstance(n, PProd) else (n.num, n.den)):
-            tf, df, mf = _poly_size(f, alphabet)
-            t, d, md = t * tf, d + df, _add_md(md, mf)
-    elif isinstance(n, (PBracket, PShuffle)):
-        t1, d1, m1 = _poly_size(n.left, alphabet)
-        t2, d2, m2 = _poly_size(n.right, alphabet)
-        shuffles = 2 if isinstance(n, PBracket) else _comb(d1 + d2, d1)
-        t, d, md = t1 * t2 * shuffles, d1 + d2, _add_md(m1, m2)
-        if isinstance(n, PShuffle):
-            table = t1 * t2 * (d1 + 1) * (d2 + 1) * d
-    elif isinstance(n, PSum):
-        sizes = [_poly_size(term, alphabet) for _, term in n.terms]
-        t = sum(s[0] for s in sizes)
-        d = max(s[1] for s in sizes)
-        md = sizes[0][2] if all(s[2] == sizes[0][2] for s in sizes) else None
-    else:
-        raise TypeError(f"not a poly syntax node: {n!r}")
+        case ("^", base, e):
+            t, d, md = _poly_size(base, alphabet)
+            # Past 64 factors any base of two or more terms is over the limit
+            # (2^64 > MAX_POLY_LETTERS), so the count stops there.
+            t, d = t ** min(e, 64), e * d
+            md = None if md is None else tuple(e * a for a in md)
+        case ("*", factors) | ("/", *factors):
+            t, d, md = 1, 0, (0,) * len(alphabet)
+            for f in factors:
+                tf, df, mf = _poly_size(f, alphabet)
+                t, d, md = t * tf, d + df, _add_md(md, mf)
+        case ("[" | "#" as op, left, right):
+            t1, d1, m1 = _poly_size(left, alphabet)
+            t2, d2, m2 = _poly_size(right, alphabet)
+            shuffles = 2 if op == "[" else _comb(d1 + d2, d1)
+            t, d, md = t1 * t2 * shuffles, d1 + d2, _add_md(m1, m2)
+            if op == "#":
+                table = t1 * t2 * (d1 + 1) * (d2 + 1) * d
+        case ("+", terms):
+            sizes = [_poly_size(term, alphabet) for _, term in terms]
+            t = sum(s[0] for s in sizes)
+            d = max(s[1] for s in sizes)
+            md = sizes[0][2] if all(s[2] == sizes[0][2] for s in sizes) else None
+        case _:
+            raise TypeError(f"not a poly syntax node: {n!r}")
     if md is not None:
         words, total = 1, 0
         for a in md:
@@ -528,51 +460,51 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
     _poly_size(node, alphabet)
 
     def ev(n) -> NcPoly:
-        if isinstance(n, PInt):
-            return NcPoly.one(alphabet).scale(n.value)
-        if isinstance(n, PIdent):
-            if n.name in alphabet.letters:
-                return NcPoly.letter(alphabet, n.name)
-            return NcPoly.one(alphabet).scale(var(n.name))
-        if isinstance(n, PPow):
-            base = ev(n.base)
-            _check_digits("power", n.exponent * log10(_height(base)))
-            if base.max_degree() <= 0:
-                return NcPoly.one(alphabet).scale(base.coeff(()) ** n.exponent)
-            out, e = NcPoly.one(alphabet), n.exponent
-            while e:
-                if e & 1:
-                    out = out * base
-                e >>= 1
-                if e:
-                    base = base * base
-            return out
-        if isinstance(n, PProd):
-            factors = [ev(f) for f in n.factors]
-            _check_digits("product", sum(log10(_height(f)) for f in factors))
-            out = NcPoly.one(alphabet)
-            for f in factors:
-                out = out * f
-            return out
-        if isinstance(n, PDiv):
-            num = ev(n.num)
-            den = ev(n.den)
-            if den.max_degree() > 0:
-                raise ValueError("division is only defined by scalars")
-            c = den.coeff(())
-            if not c:
-                raise ZeroDivisionError("scalar division by zero")
-            return num.scale(Fraction(1) / c)
-        if isinstance(n, PBracket):
-            a, b = ev(n.left), ev(n.right)
-            return a * b - b * a
-        if isinstance(n, PShuffle):
-            return shuffle(ev(n.left), ev(n.right))
-        if isinstance(n, PSum):
-            out = NcPoly.zero(alphabet)
-            for sign, t in n.terms:
-                out = out + ev(t) if sign > 0 else out - ev(t)
-            return out
+        match n:
+            case ("int", value):
+                return NcPoly.one(alphabet).scale(value)
+            case ("ident", name) if name in alphabet.letters:
+                return NcPoly.letter(alphabet, name)
+            case ("ident", name):
+                return NcPoly.one(alphabet).scale(var(name))
+            case ("^", base, e):
+                base = ev(base)
+                _check_digits("power", e * log10(_height(base)))
+                if base.max_degree() <= 0:
+                    return NcPoly.one(alphabet).scale(base.coeff(()) ** e)
+                out = NcPoly.one(alphabet)
+                while e:
+                    if e & 1:
+                        out = out * base
+                    e >>= 1
+                    if e:
+                        base = base * base
+                return out
+            case ("*", factors):
+                factors = [ev(f) for f in factors]
+                _check_digits("product", sum(log10(_height(f)) for f in factors))
+                out = NcPoly.one(alphabet)
+                for f in factors:
+                    out = out * f
+                return out
+            case ("/", num, den):
+                num, den = ev(num), ev(den)
+                if den.max_degree() > 0:
+                    raise ValueError("division is only defined by scalars")
+                c = den.coeff(())
+                if not c:
+                    raise ZeroDivisionError("scalar division by zero")
+                return num.scale(Fraction(1) / c)
+            case ("[", left, right):
+                a, b = ev(left), ev(right)
+                return a * b - b * a
+            case ("#", left, right):
+                return shuffle(ev(left), ev(right))
+            case ("+", terms):
+                out = NcPoly.zero(alphabet)
+                for sign, t in terms:
+                    out = out + ev(t) if sign > 0 else out - ev(t)
+                return out
         raise TypeError(f"not a poly syntax node: {n!r}")
 
     return ev(node)
@@ -581,16 +513,17 @@ def build_poly(node, alphabet: Alphabet) -> NcPoly:
 def _gw_letters(n) -> int:
     """Letters of a group-word syntax tree before free reduction: an upper
     bound on the length of the word it builds."""
-    if isinstance(n, GIdent):
-        return 1
-    if isinstance(n, GOne):
-        return 0
-    if isinstance(n, GPow):
-        return abs(n.exponent) * _gw_letters(n.base)
-    if isinstance(n, GComm):
-        return 2 * (_gw_letters(n.left) + _gw_letters(n.right))
-    if isinstance(n, GProd):
-        return sum(_gw_letters(f) for f in n.factors)
+    match n:
+        case ("ident", _):
+            return 1
+        case ("1",):
+            return 0
+        case ("^", base, e):
+            return abs(e) * _gw_letters(base)
+        case ("(", left, right):
+            return 2 * (_gw_letters(left) + _gw_letters(right))
+        case ("*", factors):
+            return sum(_gw_letters(f) for f in factors)
     raise TypeError(f"not a group-word syntax node: {n!r}")
 
 
@@ -603,21 +536,22 @@ def build_gw(node, alphabet: Alphabet) -> GroupWord:
         )
 
     def ev(n) -> GroupWord:
-        if isinstance(n, GIdent):
-            return GroupWord.generator(alphabet, alphabet.index(n.name))
-        if isinstance(n, GOne):
-            return GroupWord.identity(alphabet)
-        if isinstance(n, GPow):
-            base = ev(n.base)
-            if not base.entries:  # the letter bound puts no limit on its exponent
-                return base
-            if n.exponent < 0:
-                base = gw_inv(base)
-            return GroupWord(alphabet, base.entries * abs(n.exponent))
-        if isinstance(n, GComm):
-            return commutator(ev(n.left), ev(n.right))
-        if isinstance(n, GProd):
-            return GroupWord(alphabet, tuple(e for f in n.factors for e in ev(f).entries))
+        match n:
+            case ("ident", name):
+                return GroupWord.generator(alphabet, alphabet.index(name))
+            case ("1",):
+                return GroupWord.identity(alphabet)
+            case ("^", base, e):
+                base = ev(base)
+                if not base.entries:  # the letter bound puts no limit on its exponent
+                    return base
+                if e < 0:
+                    base = gw_inv(base)
+                return GroupWord(alphabet, base.entries * abs(e))
+            case ("(", left, right):
+                return commutator(ev(left), ev(right))
+            case ("*", factors):
+                return GroupWord(alphabet, tuple(e for f in factors for e in ev(f).entries))
         raise TypeError(f"not a group-word syntax node: {n!r}")
 
     return ev(node)
@@ -625,10 +559,11 @@ def build_gw(node, alphabet: Alphabet) -> GroupWord:
 
 def build_lietree(node) -> LieTree:
     """Strict bracket shape: nested [,] over letters only."""
-    if isinstance(node, PIdent):
-        return LieTree.leaf(node.name)
-    if isinstance(node, PBracket):
-        return LieTree.bracket(build_lietree(node.left), build_lietree(node.right))
+    match node:
+        case ("ident", name):
+            return LieTree.leaf(name)
+        case ("[", left, right):
+            return LieTree.bracket(build_lietree(left), build_lietree(right))
     raise ValueError("expected nested brackets of letters")
 
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from chenlie import ncalg
 from chenlie.cli import run
 from chenlie.ncalg import Alphabet, NcPoly
+from chenlie.parser import ParseError, _tokenize, collect_idents, parse
 
 
 def invoke(capsys, *argv):
@@ -50,6 +51,12 @@ def test_hall_text_and_json(capsys):
                    "k": 3, "m": 2, "schema": 1, "witt": 2}
     doc = as_json(capsys, "hall", "-m", "3", "-k", "5")
     assert doc["count"] == 48 and doc["witt"] == 48
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_hall_needs_a_letter(capsys, m):
+    code, out, err = invoke(capsys, "hall", "-m", m, "-k", "2")
+    assert (code, out, err) == (1, "", "error: alphabet must have at least one letter\n")
 
 
 def test_expand(capsys):
@@ -457,6 +464,35 @@ def test_connection_fields_are_validated(capsys, tmp_path):
     assert code == 1 and "'alphabet' must be a JSON list" in err
 
 
+def _models(entry):
+    """One valid model document per field, with ``entry`` in that field."""
+    conn = {"alphabet": ["om1", "om2"], "delta_poly": "t", "matrix": [["1", 0], [0, 2]]}
+    return {
+        "weights": {"alphabet": ["om1", "om2"], "weights": [entry, 1]},
+        "matrix": {**conn, "matrix": [["1", 0], [0, entry]]},
+        "delta_poly": {**conn, "delta_poly": entry},
+        "table": {"alphabet": ["a", "b"], "forms": ["f1", "f2"],
+                  "table": [["1", 2], [entry, "4"]]},
+    }
+
+
+@pytest.mark.parametrize("bad", [True, None, 0.5, [1, 2], {"a": 1}],
+                         ids=["true", "null", "0.5", "list", "object"])
+@pytest.mark.parametrize("field", ["weights", "matrix", "table", "delta_poly"])
+def test_scalar_entries_must_be_integers_or_strings(capsys, tmp_path, field, bad):
+    """A JSON scalar entry is an integer or the text of an expression; any
+    other JSON value is refused, not read through its Python str()."""
+    path = tmp_path / "model.json"
+    argv = (["eval", "--model", str(path), "(a,b)", "f1 f2"] if field == "table"
+            else ["integrand", "-k", "2", "--conn", str(path)])
+    path.write_text(json.dumps(_models(3)[field]))
+    ok(capsys, *argv)
+    path.write_text(json.dumps(_models(bad)[field]))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: field {field!r} entries must be integers or strings\n"
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = invoke(capsys, "eval", "--model", "/nonexistent.json",
                           "x", "x")
@@ -526,3 +562,16 @@ def test_every_expression_ends_in_a_result_or_one_error_line(argv, as_json):
         assert code == 1 and out.getvalue() == ""
         assert err.getvalue().startswith("error:")
         assert len(err.getvalue().splitlines()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(_POLYS, st.just("poly")), st.tuples(_GWS, st.just("gw"))))
+def test_collect_idents_finds_every_identifier_token(text_kind):
+    """Over the fuzzer's texts that parse, the one tree walk of both grammars
+    names exactly the identifier tokens of the text."""
+    text, kind = text_kind
+    try:
+        node = parse(text, kind)
+    except ParseError:
+        return
+    assert collect_idents(node) == {tok[1] for tok in _tokenize(text) if tok[0] == "ident"}

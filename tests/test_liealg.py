@@ -289,6 +289,20 @@ def test_the_benchmark_reads_both_private_caches():
         "projection_hits", "projection_misses", "shuffle_cache_entries"}
 
 
+def test_every_function_the_benchmark_traces_exists():
+    """bench/spans.py wraps the functions of its LAYERS by name and skips,
+    without an error, a name that is gone, so a renamed function would read
+    0 calls.  Only chenint.path_series, which moved into the tests, is gone."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = {f"{module}.{fn}" for module, fns in spans.LAYERS.values() for fn in fns
+               if not callable(getattr(importlib.import_module(f"chenlie.{module}"),
+                                       fn, None))}
+    assert missing <= {"chenint.path_series"}
+
+
 def test_lie_layer_size_limits():
     assert len(hall_basis(XY, 15).elements) == witt_number(2, 15)
     with pytest.raises(ValueError) as exc:

@@ -132,8 +132,12 @@ def test_alphabet_validation():
 
 
 def test_default_letters():
+    assert default_letters(1) == ("x",)
     assert default_letters(2) == ("x", "y")
     assert len(default_letters(4)) == 4
+    for m in (-2, -1, 0):
+        with pytest.raises(ValueError, match="^alphabet must have at least one letter$"):
+            default_letters(m)
 
 
 def test_words_enumeration():

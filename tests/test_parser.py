@@ -25,6 +25,7 @@ from chenlie.parser import (
     MAX_POLY_LETTERS,
     MAX_SCALAR_DIGITS,
     ParseError,
+    build_poly,
     parse,
     parse_gw,
     parse_lie,
@@ -118,6 +119,42 @@ def test_parse_gw_shapes():
     assert parse_gw("(x)^-2", alphabet=XY) == gw_mul(gw_inv(a), gw_inv(a))
     with pytest.raises(ParseError):
         parse_gw("2 x", alphabet=XY)
+
+
+# ------------------------------------------------------------ syntax trees
+
+def test_one_tree_per_tag():
+    """The tuple nodes of both grammars, one parse per tag."""
+    x, y = ("ident", "x"), ("ident", "y")
+    assert parse("3") == ("int", Fraction(3)) and type(parse("3")[1]) is Fraction
+    assert parse("x") == x
+    assert parse("x^2") == ("^", x, 2)
+    assert parse("x y*2") == ("*", (x, y, ("int", 2)))
+    assert parse("x/2/y") == ("/", ("/", x, ("int", 2)), y)
+    assert parse("[x,y]") == ("[", x, y)
+    assert parse("x # y # x") == ("#", ("#", x, y), x)
+    assert parse("-x + y - 1") == ("+", ((-1, x), (1, y), (-1, ("int", 1))))
+    assert parse("(x)") == x
+    assert parse("x", "gw") == x
+    assert parse("x^-2", "gw") == ("^", x, -2)
+    assert parse("x (y)", "gw") == ("*", (x, y))
+    assert parse("1", "gw") == ("1",)
+    assert parse("(x,y)", "gw") == ("(", x, y)
+
+
+@pytest.mark.parametrize("a,b", [
+    ("x y", "y"), ("x + 2 y", "[x,y]"), ("w1*x", "x y - y x"), ("3/4", "t x"),
+    ("x^1000", "y^1000"),
+])
+def test_a_shuffle_node_built_by_hand_is_the_parsed_one(a, b):
+    """build_poly of ("#", parse(a), parse(b)) is a # b, size check included."""
+    def outcome(f):
+        try:
+            return f()
+        except ValueError as e:
+            return str(e)
+    assert outcome(lambda: build_poly(("#", parse(a), parse(b)), XY)) == \
+        outcome(lambda: parse_poly(f"({a}) # ({b})", alphabet=XY))
 
 
 # ------------------------------------------------------------------ errors
